@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check the spectral identities on input or random sequences")
     add_common(sp)
     sp.add_argument(
-        "--random", type=int, default=0, metavar="N",
+        "--random", type=int, default=None, metavar="N",
         help=f"verify N seeded random sequences (m in {list(_RANDOM_M_RANGE)}) instead of reading input",
     )
     sp.add_argument("--seed", type=int, default=0, metavar="S")
@@ -169,12 +169,15 @@ def _resolve_rep(name: str, alphabet: Alphabet) -> RepresentationMatrix | None:
     raise ValueError(f"unknown representation {name!r}")
 
 
-def _analysis_entry(ind, rep: RepresentationMatrix | None, period: int):
-    """Report dict for one representation: summary, peak, identity checks."""
+def _analysis_entry(ind, rep: RepresentationMatrix | None, period: int, base):
+    """Report dict for one representation: summary, peak, identity checks.
+
+    *base* is the ``spectrum_base`` report of *ind*, computed once per command.
+    """
     m = ind.m
     T = ind.alphabet.size
     if rep is None:
-        report = spectral.spectrum_base(ind)
+        report = base
         name = "base"
         expected_total = float(m) ** 2
         ratio = None
@@ -182,7 +185,7 @@ def _analysis_entry(ind, rep: RepresentationMatrix | None, period: int):
         report = spectral.spectrum_transformed(apply_representation(ind, rep))
         name = rep.name
         expected_total = rep.d**2 * (T - 1) / T * float(m) ** 2
-        ratio = spectral.snr_ratio_check(ind, rep)
+        ratio = spectral.snr_ratio_check(ind, rep, base=base, transformed=report)
 
     total_pass = abs(report.total - expected_total) <= spectral.IDENTITY_RTOL * expected_total
     if period <= m:
@@ -251,12 +254,13 @@ def cmd_analyze(args) -> int:
     _check_period(args)
     seq, label = _load_single(args)
     ind = build_indicators(seq)
+    base = spectral.spectrum_base(ind)
     rep_names = args.reps or ["base"]
     entries = []
     reports = []
     for rep_name in rep_names:
         rep = _resolve_rep(rep_name, seq.alphabet)
-        entry, report = _analysis_entry(ind, rep, args.period)
+        entry, report = _analysis_entry(ind, rep, args.period, base)
         entries.append(entry)
         reports.append(report)
 
@@ -326,11 +330,12 @@ def cmd_compare(args) -> int:
     if len(rep_names) < 2:
         raise ValueError("compare needs at least two --rep selections")
     ind = build_indicators(seq)
+    base = spectral.spectrum_base(ind)
     entries = []
     reports = []
     for rep_name in rep_names:
         rep = _resolve_rep(rep_name, seq.alphabet)
-        entry, report = _analysis_entry(ind, rep, args.period)
+        entry, report = _analysis_entry(ind, rep, args.period, base)
         entries.append(entry)
         reports.append(report)
 
@@ -450,9 +455,9 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = spectral.IDENTITY_RTOL
-    if args.random:
+    if args.random is not None:
         if args.random < 1:
-            raise ValueError("--random needs a positive count")
+            raise ValueError(f"--random needs a positive count, got {args.random}")
         alphabet = default_alphabet(args.alphabet_size)
         rng = np.random.default_rng(args.seed)
         lo, hi = _RANDOM_M_RANGE
@@ -480,7 +485,8 @@ def cmd_verify(args) -> int:
     all_pass = True
     for i, seq in enumerate(seqs):
         ind = build_indicators(seq)
-        tot = spectral.verify_total_spectrum(ind)
+        base = spectral.spectrum_base(ind)
+        tot = spectral.verify_total_spectrum(ind, report=base)
         seq_result = {
             "id": seq.id or f"record-{i:03d}",
             "m": seq.m,
@@ -494,7 +500,7 @@ def cmd_verify(args) -> int:
         }
         all_pass = all_pass and tot.passed()
         for name, rep in reps:
-            rc = spectral.snr_ratio_check(ind, rep)
+            rc = spectral.snr_ratio_check(ind, rep, base=base)
             seq_result["snr_ratio"].append(
                 {
                     "representation": name,
@@ -517,7 +523,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         obj = {
             "command": "verify",
-            "mode": "random" if args.random else "input",
+            "mode": "input" if args.random is None else "random",
             "count": len(seqs),
             "alphabet": str(alphabet),
             "alphabet_size": alphabet.size,
@@ -526,7 +532,7 @@ def cmd_verify(args) -> int:
             "results": results,
             "all_pass": all_pass,
         }
-        if args.random:
+        if args.random is not None:
             obj["seed"] = args.seed
             obj["m_range"] = list(_RANDOM_M_RANGE)
         else:
@@ -536,7 +542,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify supports --format text or json")
     else:
         lines = []
-        if args.random:
+        if args.random is not None:
             lo, hi = _RANDOM_M_RANGE
             lines.append(
                 f"verify: {len(seqs)} random sequences over {alphabet} "

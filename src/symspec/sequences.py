@@ -59,6 +59,13 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.symbols)}
 
+    @cached_property
+    def _sorted_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symbol code points in ascending order, and each one's alphabet index."""
+        points = np.array([ord(s) for s in self.symbols], dtype=np.uint32)
+        order = np.argsort(points)
+        return points[order], order.astype(np.int64)
+
     @property
     def size(self) -> int:
         return len(self.symbols)
@@ -152,17 +159,20 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
     folded = text.upper()
     if not folded:
         raise SequenceError("empty sequence")
-    lookup = alphabet._index
-    codes = np.empty(len(folded), dtype=np.int64)
-    for pos, ch in enumerate(folded):
-        code = lookup.get(ch)
-        if code is None:
-            where = f" of record {id!r}" if id else ""
-            raise SequenceError(
-                f"character {ch!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
-            )
-        codes[pos] = code
-    return SymbolicSequence(alphabet, codes, id=id)
+    # One uint32 per character (lone surrogates included), so array
+    # positions are string positions.
+    points = np.frombuffer(folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    sorted_points, sorted_codes = alphabet._sorted_lookup
+    slots = np.searchsorted(sorted_points, points)
+    np.minimum(slots, sorted_points.size - 1, out=slots)
+    bad = sorted_points[slots] != points
+    if bad.any():
+        pos = int(np.argmax(bad))
+        where = f" of record {id!r}" if id else ""
+        raise SequenceError(
+            f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
+        )
+    return SymbolicSequence(alphabet, sorted_codes[slots], id=id)
 
 
 def _records(text: str) -> list[tuple[str | None, str]]:

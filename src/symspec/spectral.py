@@ -17,8 +17,12 @@ spectrum away from k = 0:
     SNR_rep(k) = T/(T-1) SNR(k)           independent of d
 
 ``snr_ratio_check`` and ``verify_total_spectrum`` measure those identities
-numerically. ``dft_naive`` is the O(m^2) direct-summation reference;
-``dft_fast`` must match it bin for bin and is what the report builders use.
+numerically; both accept reports the caller already holds, so a command
+computes each spectrum once. Reports take their power from ``_power``, one
+real-input FFT kernel that uses P(k) = P(m - k) to transform only half the
+bins. ``dft_naive`` is the O(m^2) direct-summation reference that
+``_power`` and the public complex-input ``dft_fast`` are both tested
+against, bin for bin.
 """
 from __future__ import annotations
 
@@ -49,6 +53,8 @@ __all__ = [
 IDENTITY_RTOL = 1e-9   # relative tolerance for the spectral identities
 DFT_MATCH_TOL = 1e-9   # per-bin fast-vs-naive tolerance (relative, floor 1e-9)
 BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
+
+_BLOCK_BINS = 2**20  # complex rfft bins held at once by _power
 
 
 def dft_naive(x) -> np.ndarray:
@@ -115,9 +121,29 @@ class SpectrumReport:
         )
 
 
+def _power(rows: np.ndarray) -> np.ndarray:
+    """Summed power spectrum sum_t |DFT(rows[t])(k)|^2, k = 0 .. m-1, of real rows.
+
+    Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
+    power and the rest is mirrored: P(k) = P(m - k). Rows are transformed in
+    blocks of about _BLOCK_BINS bins to bound the temporary complex arrays.
+    """
+    n_rows, m = rows.shape
+    half = np.zeros(m // 2 + 1)
+    step = max(1, _BLOCK_BINS // half.size)
+    for start in range(0, n_rows, step):
+        spectra = np.fft.rfft(rows[start : start + step], axis=1)
+        block = spectra.real**2
+        block += spectra.imag**2
+        half += block.sum(axis=0)
+    full = np.empty(m)
+    full[: half.size] = half
+    full[half.size :] = half[m - half.size : 0 : -1]
+    return full
+
+
 def _report(name: str, size: int, d: float | None, channels: np.ndarray) -> SpectrumReport:
-    spectra = np.fft.fft(channels, axis=1)
-    power = np.sum(np.abs(spectra) ** 2, axis=0)
+    power = _power(channels)
     total = float(np.sum(power))
     m = channels.shape[1]
     mean_noise = total / m
@@ -164,9 +190,26 @@ class TotalSpectrumCheck:
         return self.relative_error <= rtol
 
 
-def verify_total_spectrum(ind: IndicatorMatrix) -> TotalSpectrumCheck:
-    """Check sum_k sum_t |U_t(k)|^2 = m^2 on the given indicators."""
-    report = spectrum_base(ind)
+def _require_match(report: SpectrumReport, ind: IndicatorMatrix, role: str) -> None:
+    if report.m != ind.m or report.alphabet_size != ind.alphabet.size:
+        raise ValueError(
+            f"{role} report has m = {report.m}, T = {report.alphabet_size}; "
+            f"the indicators have m = {ind.m}, T = {ind.alphabet.size}"
+        )
+
+
+def verify_total_spectrum(
+    ind: IndicatorMatrix, *, report: SpectrumReport | None = None
+) -> TotalSpectrumCheck:
+    """Check sum_k sum_t |U_t(k)|^2 = m^2 on the given indicators.
+
+    Pass *report*, the ``spectrum_base`` of *ind*, to reuse it instead of
+    computing it again.
+    """
+    if report is None:
+        report = spectrum_base(ind)
+    else:
+        _require_match(report, ind, "base")
     expected = float(ind.m) ** 2
     return TotalSpectrumCheck(
         expected=expected,
@@ -207,10 +250,27 @@ class RatioCheck:
         return f"RatioCheck(expected={self.expected:.6g}, {dev}, checked={self.checked_bins})"
 
 
-def snr_ratio_check(ind: IndicatorMatrix, rep: RepresentationMatrix) -> RatioCheck:
-    """Measure SNR_rep(k) / SNR_base(k) at every usable frequency bin."""
-    base = spectrum_base(ind)
-    transformed = spectrum_transformed(apply_representation(ind, rep))
+def snr_ratio_check(
+    ind: IndicatorMatrix,
+    rep: RepresentationMatrix,
+    *,
+    base: SpectrumReport | None = None,
+    transformed: SpectrumReport | None = None,
+) -> RatioCheck:
+    """Measure SNR_rep(k) / SNR_base(k) at every usable frequency bin.
+
+    *base* (the ``spectrum_base`` of *ind*) and *transformed* (the
+    ``spectrum_transformed`` of *ind* under *rep*) are reused when given and
+    computed otherwise; the result is the same either way.
+    """
+    if base is None:
+        base = spectrum_base(ind)
+    else:
+        _require_match(base, ind, "base")
+    if transformed is None:
+        transformed = spectrum_transformed(apply_representation(ind, rep))
+    else:
+        _require_match(transformed, ind, "transformed")
     T = ind.alphabet.size
     expected = T / (T - 1.0)
     ratios = np.full(ind.m - 1, np.nan)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from symspec import build_zcurve, save_matrix
+from symspec import build_zcurve, save_matrix, spectral
 from symspec.cli import main
 
 
@@ -219,6 +219,57 @@ class TestVerify:
         code2, out2, _ = run(argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_nonpositive_random_count(self, run, count):
+        code, out, err = run(["verify", "--random", count], stdin_text=">x\nACGT\n")
+        assert code == 2
+        assert out == ""
+        assert "positive count" in err
+
+
+class TestSpectraComputedOnce:
+    """Each command computes the base spectrum once per sequence and one
+    spectrum per transform, however many checks use them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"base": 0, "transformed": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(spectral, "spectrum_base", counting("base", spectral.spectrum_base))
+        monkeypatch.setattr(
+            spectral, "spectrum_transformed", counting("transformed", spectral.spectrum_transformed)
+        )
+        return counts
+
+    def test_analyze(self, run, calls):
+        code, _, err = run(
+            ["analyze", "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron"],
+            stdin_text=">x\nACGTTGCAACGG\n",
+        )
+        assert code == 0, err
+        assert calls == {"base": 1, "transformed": 2}
+
+    def test_compare(self, run, calls):
+        code, _, err = run(
+            ["compare", "--rep", "base", "--rep", "helmert"], stdin_text=">x\nACDEFGHIKLMNPQ\n"
+        )
+        assert code == 0, err
+        assert calls == {"base": 1, "transformed": 1}
+
+    def test_verify_two_records(self, run, calls):
+        code, _, err = run(
+            ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert"],
+            stdin_text=">a\nACGTTGCA\n>b\nGGCATTACA\n",
+        )
+        assert code == 0, err
+        assert calls == {"base": 2, "transformed": 6}
 
 
 class TestSpectrum:

@@ -138,3 +138,50 @@ def test_random_sequence_is_seed_deterministic():
     b = random_sequence(DNA, 50, np.random.default_rng(11))
     assert a == b
     assert a.m == 50
+
+
+def _encode_per_character(text, alphabet, id=None):
+    """The original per-character encoder, kept as the reference."""
+    folded = text.upper()
+    codes = []
+    for pos, ch in enumerate(folded):
+        if ch not in alphabet:
+            where = f" of record {id!r}" if id else ""
+            raise SequenceError(
+                f"character {ch!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
+            )
+        codes.append(alphabet.index(ch))
+    return codes
+
+
+_ENCODER_CASES = [
+    (DNA, "ACGTacgt"),
+    (PROTEIN, "ACDEFGHIKLMNPQRSTVWYacdefghiklmnpqrstvwy"),
+    (Alphabet("ACGTN-"), "ACGTNacgtn-"),
+    (Alphabet("ΑΒΓ"), "ΑΒΓαβγ"),  # Greek capitals; the lower-case forms fold onto them
+    (Alphabet("αβγ"), "αβγ"),  # lower-case symbols never match folded text
+]
+_STRAY = "XxUu*.ßéİ\U0001f600\ud800"
+
+
+@given(data=st.data())
+def test_encoder_matches_per_character_reference(data):
+    alphabet, valid = data.draw(st.sampled_from(_ENCODER_CASES))
+    text = data.draw(st.text(alphabet=valid + _STRAY, min_size=1, max_size=80))
+    rid = data.draw(st.one_of(st.none(), st.sampled_from(["", "r1", "chr 2"])))
+    try:
+        expected = _encode_per_character(text, alphabet, rid)
+    except SequenceError as exc:
+        with pytest.raises(SequenceError) as got:
+            sequence_from_string(text, alphabet, id=rid)
+        assert str(got.value) == str(exc)
+    else:
+        assert sequence_from_string(text, alphabet, id=rid).codes.tolist() == expected
+
+
+@given(data=st.data())
+def test_encoder_matches_reference_on_valid_text(data):
+    alphabet, valid = data.draw(st.sampled_from(_ENCODER_CASES[:4]))
+    text = data.draw(st.text(alphabet=valid, min_size=1, max_size=200))
+    seq = sequence_from_string(text, alphabet)
+    assert seq.codes.tolist() == _encode_per_character(text, alphabet)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dft_max_deviation
+from symspec import spectral
 from symspec import (
+    DFT_MATCH_TOL,
     DNA,
     PROTEIN,
     SymbolicSequence,
@@ -71,6 +73,38 @@ class TestDftFast:
     def test_genomic_length_1236(self):
         x = np.random.default_rng(1236).standard_normal(1236)
         assert dft_max_deviation(dft_fast(x), dft_naive(x)) < TOL
+
+
+class TestPowerKernel:
+    """The kernel every report takes its power from, against the naive DFT."""
+
+    @staticmethod
+    def _check(size, m):
+        rng = np.random.default_rng([size, m])
+        ind = build_indicators(random_sequence(default_alphabet(size), m, rng))
+        naive = np.array([dft_naive(row) for row in ind.rows])
+        helmert = build_helmert(size)
+        channels = apply_representation(ind, helmert).channels
+        # The DFT is linear, so the channels' spectra are the same mix of the rows'.
+        for rows, spectra in ((ind.rows, naive), (channels, helmert.rows @ naive)):
+            expected = np.sum(np.abs(spectra) ** 2, axis=0)
+            assert np.max(np.abs(spectral._power(rows) - expected)) <= DFT_MATCH_TOL * m
+
+    @pytest.mark.parametrize("size", [2, 4, 20])
+    def test_every_length_up_to_64(self, size):
+        for m in range(1, 65):
+            self._check(size, m)
+
+    @pytest.mark.parametrize("m", [257, 512, 999, 1236, 1499, 1500])
+    @pytest.mark.parametrize("size", [2, 4, 20])
+    def test_longer_odd_and_even_lengths(self, size, m):
+        self._check(size, m)
+
+    def test_blocks_cover_every_row(self, monkeypatch):
+        rows = np.random.default_rng(9).standard_normal((7, 40))
+        whole = spectral._power(rows)
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 21 half bins: one row per block
+        np.testing.assert_allclose(spectral._power(rows), whole, rtol=1e-12)
 
 
 class TestSpectrumBase:
@@ -180,6 +214,41 @@ class TestSnrRatio:
             rtol=TOL,
             atol=1e-12,
         )
+
+
+class TestGivenReports:
+    """Reports passed in are reused; the result is the same as computing them."""
+
+    def setup_method(self):
+        self.ind = build_indicators(random_sequence(DNA, 301, np.random.default_rng(31)))
+        self.rep = build_tetrahedron()
+        self.base = spectrum_base(self.ind)
+        self.transformed = spectrum_transformed(apply_representation(self.ind, self.rep))
+
+    def test_same_result_either_way(self):
+        fresh = snr_ratio_check(self.ind, self.rep)
+        given_ = snr_ratio_check(self.ind, self.rep, base=self.base, transformed=self.transformed)
+        np.testing.assert_array_equal(given_.ratios, fresh.ratios)
+        assert given_.max_deviation == fresh.max_deviation
+        assert verify_total_spectrum(self.ind, report=self.base) == verify_total_spectrum(self.ind)
+
+    def test_mismatched_length_is_rejected(self):
+        other = build_indicators(random_sequence(DNA, 300, np.random.default_rng(1)))
+        with pytest.raises(ValueError, match="m = 301"):
+            verify_total_spectrum(other, report=self.base)
+        with pytest.raises(ValueError, match="base report"):
+            snr_ratio_check(other, self.rep, base=self.base)
+        with pytest.raises(ValueError, match="transformed report"):
+            snr_ratio_check(other, self.rep, transformed=self.transformed)
+
+    def test_mismatched_alphabet_size_is_rejected(self):
+        ind20 = build_indicators(random_sequence(PROTEIN, 301, np.random.default_rng(2)))
+        with pytest.raises(ValueError, match="T = 4"):
+            verify_total_spectrum(ind20, report=self.base)
+        with pytest.raises(ValueError, match="T = 4"):
+            snr_ratio_check(ind20, build_helmert(20), base=self.base)
+        with pytest.raises(ValueError, match="T = 4"):
+            snr_ratio_check(ind20, build_helmert(20), transformed=self.transformed)
 
 
 class TestTotalSpectrum:
