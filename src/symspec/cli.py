@@ -3,6 +3,10 @@
 Subcommands: analyze (per-representation summary and checks), compare
 (side-by-side table plus SNR ratio lines), verify (identity checks on input
 or seeded random sequences), spectrum (plot-ready per-bin CSV).
+
+Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
+column and written in blocks of rows, never as one string; their bytes are
+those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``.
 """
 from __future__ import annotations
 
@@ -11,6 +15,8 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +44,7 @@ from .sequences import (
 __all__ = ["build_parser", "main", "entry"]
 
 _RANDOM_M_RANGE = (1, 2000)
+_BLOCK_ITEMS = 8192  # profile rows (or JSON array items) joined per write
 
 _TOTALS_NOTE = (
     "total spectra are exact identity values: m^2 for base, "
@@ -114,13 +121,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+@contextmanager
+def _output(args):
+    """The stream --output names: stdout, or the file, created only now."""
+    if args.output in (None, "-"):
+        yield sys.stdout
+    else:
+        with Path(args.output).open("w", encoding="utf-8") as out:
+            yield out
+
+
 def _write(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+    with _output(args) as out:
+        out.write(text)
 
 
 def _check_period(args) -> None:
@@ -129,10 +144,19 @@ def _check_period(args) -> None:
 
 
 def _read_input(args) -> tuple[str, str]:
+    """Input text and its label; bytes that are not UTF-8 are an error, not data."""
     if args.input in (None, "-"):
-        return sys.stdin.read(), "-"
-    path = Path(args.input)
-    return path.read_text(encoding="utf-8"), str(path)
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text stream put in place of stdin by an embedding caller
+            return sys.stdin.read(), "-"
+        data, label = buffer.read(), "-"
+    else:
+        path = Path(args.input)
+        data, label = path.read_bytes(), str(path)
+    try:
+        return data.decode("utf-8"), label
+    except UnicodeDecodeError as exc:
+        raise SequenceError(f"{label}: input is not UTF-8 text ({exc})") from None
 
 
 def _load_many(args) -> tuple[list[SymbolicSequence], str]:
@@ -234,17 +258,90 @@ def _entry_checks_pass(entry) -> bool:
     return checks["total_spectrum"]["pass"] and checks["snr_ratio"]["pass"]
 
 
-def _profile_csv(named_reports, with_rep_column: bool) -> str:
+# -- per-bin profiles --------------------------------------------------------
+
+
+def _float_strings(values: np.ndarray, for_json: bool = False) -> list[str]:
+    """``repr`` of each value, as csv.writer and json.dumps write finite floats.
+
+    A column that reads the same both ways bit for bit, as power[1:] and snr
+    do (P(k) = P(m - k), see ``spectral._power``), is formatted for its first
+    half only and the strings are mirrored. json.dumps spells non-finite
+    values NaN, Infinity and -Infinity, so a JSON column holding any is
+    formatted by json.dumps itself.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    fmt = json.dumps if for_json and not np.isfinite(values).all() else float.__repr__
+    n = values.size
+    bits = values.view(np.uint64)
+    if n > 1 and np.array_equal(bits, bits[::-1]):
+        head = list(map(fmt, values[: (n + 1) // 2].tolist()))
+        return head + head[n // 2 - 1 :: -1]
+    return list(map(fmt, values.tolist()))
+
+
+def _csv_cell(text: str) -> str:
+    """*text* quoted as csv.writer quotes it inside a row (an empty cell stays empty)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["k", "frequency", "power", "snr"]
-    writer.writerow((["representation"] + header) if with_rep_column else header)
-    for name, report in named_reports:
-        m = report.m
-        for k in range(1, m):
-            row = [k, k / m, float(report.power[k]), float(report.snr[k - 1])]
-            writer.writerow(([name] + row) if with_rep_column else row)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _blocks(items):
+    """Consecutive lists of up to _BLOCK_ITEMS items."""
+    items = iter(items)
+    while block := list(islice(items, _BLOCK_ITEMS)):
+        yield block
+
+
+def _write_profile_csv(args, named_reports, with_rep_column: bool) -> None:
+    """One CSV row per bin k = 1 .. m-1 of each report; the reports share m,
+    so k and frequency are formatted once."""
+    m = named_reports[0][1].m
+    k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
+    header = "k,frequency,power,snr\n"
+    with _output(args) as out:
+        out.write("representation," + header if with_rep_column else header)
+        for name, report in named_reports:
+            columns = [k_freq, _float_strings(report.power[1:]), _float_strings(report.snr)]
+            if with_rep_column:
+                columns.insert(0, [_csv_cell(name)] * (m - 1))
+            for block in _blocks(map(",".join, zip(*columns))):
+                out.write("\n".join(block) + "\n")
+            del columns  # before the next report's columns are formatted
+
+
+def _write_profile_json(args, fields: dict, report) -> None:
+    """*fields* plus the report's k, frequency, power and snr arrays, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes them. Each array is
+    formatted just before it is written."""
+    m = report.m
+    arrays = {
+        "k": lambda: list(map(str, range(1, m))),
+        "frequency": lambda: _float_strings(np.arange(1, m) / m),
+        "power": lambda: _float_strings(report.power[1:], for_json=True),
+        "snr": lambda: _float_strings(report.snr, for_json=True),
+    }
+    with _output(args) as out:
+        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
+            out.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+            if key in fields:
+                out.write(json.dumps(fields[key]))
+            else:
+                _write_json_array(out, arrays[key]())
+        out.write("\n}\n")
+
+
+def _write_json_array(out, strings: list[str]) -> None:
+    """Formatted items as a JSON array at depth 1 of ``json.dumps(indent=2)``."""
+    if not strings:
+        out.write("[]")
+        return
+    sep = ",\n    "
+    out.write("[\n    ")
+    for j, block in enumerate(_blocks(strings)):
+        out.write((sep if j else "") + sep.join(block))
+    out.write("\n  ]")
 
 
 # -- analyze -----------------------------------------------------------------
@@ -280,7 +377,7 @@ def cmd_analyze(args) -> int:
         }
         _write(args, _json_text(obj))
     elif args.format == "csv":
-        _write(args, _profile_csv([(e["name"], r) for e, r in zip(entries, reports)], True))
+        _write_profile_csv(args, [(e["name"], r) for e, r in zip(entries, reports)], True)
     else:
         lines = [
             f"input: {label}" + (f" (record {seq.id!r})" if seq.id else ""),
@@ -593,20 +690,10 @@ def cmd_spectrum(args) -> int:
         report = spectral.spectrum_transformed(apply_representation(ind, rep))
 
     if args.format == "json":
-        m = report.m
-        obj = {
-            "input": label,
-            "record": seq.id,
-            "m": m,
-            "representation": report.representation,
-            "k": list(range(1, m)),
-            "frequency": [k / m for k in range(1, m)],
-            "power": [float(v) for v in report.power[1:]],
-            "snr": [float(v) for v in report.snr],
-        }
-        _write(args, _json_text(obj))
+        fields = {"input": label, "record": seq.id, "m": report.m, "representation": report.representation}
+        _write_profile_json(args, fields, report)
     else:
-        _write(args, _profile_csv([(report.representation, report)], False))
+        _write_profile_csv(args, [(report.representation, report)], False)
     return 0
 
 

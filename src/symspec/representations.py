@@ -328,9 +328,12 @@ def matrix_from_dict(obj: dict) -> RepresentationMatrix:
     except (KeyError, TypeError, ValueError):
         raise MatrixError("matrix JSON needs 'rows' and a numeric 'd'") from None
     order = obj.get("alphabet_order")
+    if order:
+        # Sequences are case-folded to upper, so the column symbols are too.
+        order = tuple(s.upper() if isinstance(s, str) else s for s in order)
     rep = validate_row_orthogonal(
         rows,
-        alphabet_order=tuple(order) if order else None,
+        alphabet_order=order or None,
         name=str(obj.get("name", "file")),
     )
     if abs(rep.d - declared_d) > 1e-12 * max(abs(rep.d), 1.0):

@@ -178,16 +178,22 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
 def _records(text: str) -> list[tuple[str | None, str]]:
     """Split raw input into (id, body) pairs.
 
-    Input whose first non-blank character is '>' is FASTA; anything else is a
-    single headerless record.
+    Input whose first non-blank line, after any ';' comment lines, starts
+    with '>' is FASTA, where ';' lines are comments and are skipped; anything
+    else is a single headerless record.
     """
-    if not text.lstrip().startswith(">"):
+    head = text.lstrip()
+    while head.startswith(";"):
+        head = head.partition("\n")[2].lstrip()
+    if not head.startswith(">"):
         return [(None, text)]
     records: list[tuple[str | None, str]] = []
     header: str | None = None
     body: list[str] = []
     started = False
     for line in text.splitlines():
+        if line.startswith(";"):
+            continue
         if line.startswith(">"):
             if started:
                 records.append((header, "".join(body)))
@@ -206,7 +212,8 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
     With ``alphabet=None`` the alphabet is inferred as the sorted set of
     distinct characters over all records; otherwise every character must
     belong to the given alphabet. Whitespace and line wrapping inside record
-    bodies are ignored and case is folded to upper.
+    bodies are ignored and case is folded to upper. In FASTA input, lines
+    starting with ';' are comments.
     """
     if not text.strip():
         raise SequenceError("no sequence records in input")

@@ -127,6 +127,11 @@ def _power(rows: np.ndarray) -> np.ndarray:
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
     power and the rest is mirrored: P(k) = P(m - k). Rows are transformed in
     blocks of about _BLOCK_BINS bins to bound the temporary complex arrays.
+
+    The mirror is a copy, so P(k) == P(m - k) holds exactly, bit for bit, and
+    so does snr[k - 1] == snr[m - k - 1]. The CLI's profile renderers rely
+    on it: they format half of each column and mirror the strings (after
+    checking the column reads the same both ways).
     """
     n_rows, m = rows.shape
     half = np.zeros(m // 2 + 1)

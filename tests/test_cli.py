@@ -1,18 +1,22 @@
+import argparse
+import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from symspec import build_zcurve, save_matrix, spectral
-from symspec.cli import main
+from symspec.cli import _write_profile_csv, _write_profile_json, main
 
 
 @pytest.fixture
 def run(monkeypatch, capsys):
-    def _run(argv, stdin_text=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    def _run(argv, stdin_text="", stdin_bytes=None):
+        data = stdin_text.encode() if stdin_bytes is None else stdin_bytes
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -107,6 +111,26 @@ class TestAnalyze:
         code, _, err = run(["analyze", "--input", "/nonexistent/f.fasta"])
         assert code == 2
         assert err
+
+    def test_undecodable_stdin_is_rejected(self, run):
+        # Regression: b"\xff\xfe" used to be read as a T = 2 sequence, exit 0.
+        code, out, err = run(["analyze"], stdin_bytes=b"\xff\xfe")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("symspec: error: -: input is not UTF-8 text")
+
+    def test_text_stream_in_place_of_stdin_is_read(self, monkeypatch, capsys):
+        # Callers that embed main() may swap in a text stream with no .buffer.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("ACGT"))
+        assert main(["analyze", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 4
+
+    def test_undecodable_input_file_is_rejected(self, run, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(b">x\nAC\xffGT\n")
+        code, _, err = run(["analyze", "--input", str(path)])
+        assert code == 2
+        assert f"{path}: input is not UTF-8 text" in err
 
     def test_output_file(self, run, tmp_path):
         out_path = tmp_path / "report.json"
@@ -315,3 +339,59 @@ class TestSpectrum:
         obj = json.loads(out)
         assert obj["k"] == [1, 2, 3]
         assert obj["power"] == [pytest.approx(4.0)] * 3
+
+
+def _report(power, snr, name="hand"):
+    power = np.asarray(power, dtype=float)
+    return spectral.SpectrumReport(
+        representation=name, m=power.size, alphabet_size=4, d=None,
+        power=power, total=1.0, mean_noise=1.0, snr=snr,
+    )
+
+
+class TestProfileRenderer:
+    """The columnar renderers against csv.writer and json.dumps, byte for byte."""
+
+    REPORTS = {
+        # Non-palindromic, with every non-finite spelling.
+        "non-finite": ([9.0, 1.5, 2.25, math.nan, math.inf, -math.inf],
+                       [0.1, 1e-300, 1e16, -math.inf, math.nan]),
+        # Equal under == both ways, but not bit for bit: -0.0 must survive.
+        "signed-zero": ([4.0, 0.0, 5.0, -0.0], [-0.0, 1 / 3, 0.0]),
+        # Palindromic at odd and even length: formatted once, mirrored.
+        "odd": ([1.0, 0.1, 0.2, 0.3, 0.2, 0.1], [0.7, 1e-5, 2.5e20, 1e-5, 0.7]),
+        "even": ([1.0, 0.1, 1 / 3, 1 / 3, 0.1], [0.7, 0.2, 0.2, 0.7]),
+        "one-bin": ([1.0, 2.0], [3.0]),
+        "no-bins": ([1.0], []),
+    }
+
+    @staticmethod
+    def _args(path):
+        return argparse.Namespace(output=str(path))
+
+    @pytest.mark.parametrize("key", list(REPORTS))
+    def test_csv_matches_csv_writer(self, key, tmp_path):
+        # Names that csv.writer quotes, or leaves empty, inside a row.
+        reports = [("a,\"b", _report(*self.REPORTS[key])), ("", _report(*self.REPORTS[key]))]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["representation", "k", "frequency", "power", "snr"])
+        for name, r in reports:
+            for k in range(1, r.m):
+                writer.writerow([name, k, k / r.m, float(r.power[k]), float(r.snr[k - 1])])
+        path = tmp_path / "out.csv"
+        _write_profile_csv(self._args(path), reports, True)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("key", list(REPORTS))
+    def test_json_matches_json_dumps(self, key, tmp_path):
+        r = _report(*self.REPORTS[key])
+        fields = {"input": "-", "record": "\u00e9\"x", "m": r.m, "representation": r.representation}
+        expected = json.dumps(
+            {**fields, "k": list(range(1, r.m)), "frequency": [k / r.m for k in range(1, r.m)],
+             "power": [float(v) for v in r.power[1:]], "snr": [float(v) for v in r.snr]},
+            indent=2, sort_keys=True,
+        ) + "\n"
+        path = tmp_path / "out.json"
+        _write_profile_json(self._args(path), fields, r)
+        assert path.read_bytes() == expected.encode()

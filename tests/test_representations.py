@@ -18,6 +18,7 @@ from symspec import (
     build_zcurve,
     cumulative_coordinates,
     load_matrix,
+    matrix_from_dict,
     matrix_to_dict,
     save_matrix,
     sequence_from_string,
@@ -261,6 +262,19 @@ class TestMatrixJson:
         path.write_text(json.dumps(obj))
         with pytest.raises(MatrixError, match="does not match"):
             load_matrix(path)
+
+    def test_lower_case_alphabet_order_is_folded(self):
+        # Regression: "acgt" was rejected against the upper-cased sequence
+        # alphabet ACGT ("column symbol 'a' is missing").
+        obj = matrix_to_dict(build_tetrahedron())
+        obj["alphabet_order"] = "atcg"
+        rep = matrix_from_dict(obj)
+        assert rep.alphabet_order == ("A", "T", "C", "G")
+        ind = build_indicators(dna("ACGTTGCA"))
+        np.testing.assert_array_equal(
+            apply_representation(ind, rep).channels,
+            apply_representation(ind, build_tetrahedron()).channels,
+        )
 
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -84,6 +84,14 @@ class TestParseFasta:
         assert [str(s.alphabet) for s in seqs] == ["ACGT", "ACGT"]
         assert [s.id for s in seqs] == ["a", "b"]
 
+    def test_semicolon_comment_lines_are_skipped(self):
+        # Regression: ';' comment lines used to be read as sequence symbols,
+        # so the inferred alphabet gained ';' and the comment's letters.
+        seqs = parse_fasta(";file comment\n>r1\n;comment\nACGT\n;x\nAC\n>r2\nGT\n")
+        assert [s.id for s in seqs] == ["r1", "r2"]
+        assert str(seqs[0].alphabet) == "ACGT"
+        assert seqs[0].as_string() == "ACGTAC"
+
 
 class TestSequenceFromString:
     def test_single_symbol_repeated(self):

@@ -107,6 +107,27 @@ class TestPowerKernel:
         np.testing.assert_allclose(spectral._power(rows), whole, rtol=1e-12)
 
 
+class TestExactSymmetry:
+    """P(k) == P(m - k) bit for bit: the CLI's renderers format half of each
+    profile column and mirror the strings."""
+
+    @staticmethod
+    def _reports(size, m):
+        ind = build_indicators(random_sequence(default_alphabet(size), m, np.random.default_rng([m, size])))
+        yield spectrum_base(ind)
+        yield spectrum_transformed(apply_representation(ind, build_helmert(size)))
+        if size == 4:
+            yield spectrum_transformed(apply_representation(ind, build_zcurve()))
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 9, 1000, 1001, 65536, 65537])
+    @pytest.mark.parametrize("size", [4, 20])
+    def test_power_and_snr_read_the_same_both_ways(self, size, m):
+        for report in self._reports(size, m):
+            for col in (report.power[1:], report.snr):  # k = 1 .. m-1
+                assert np.array_equal(col, col[::-1])
+                assert np.array_equal(col.view(np.uint64), col[::-1].view(np.uint64))
+
+
 class TestSpectrumBase:
     def test_all_four_symbols(self):
         report = spectrum_base(build_indicators(dna("ACGT")))
