@@ -25,6 +25,17 @@ normalized rows satisfy, column-wise,
 
 which is what makes every such transform's SNR profile a fixed T/(T-1)
 multiple of the base representation's (see symspec.spectral).
+
+Data model: every representation is a table gathered at the sequence's
+codes. Position j holding symbol t contributes column t of the table, so
+the signal is ``table[:, codes]``: the T x T identity for the indicator
+rows, and the transform with its columns put in the alphabet's order for
+the channels (each channel entry is the one nonzero term of the matrix-row
+by indicator-column product). ``IndicatorMatrix`` and ``TransformedSignal``
+store only that table and the codes, shared with the ``SymbolicSequence``
+and never copied; ``rows`` and ``channels`` are gathered on demand, and the
+spectral kernel gathers a few rows at a time, so no dense T x m array is
+kept.
 """
 from __future__ import annotations
 
@@ -36,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolicSequence
+from .sequences import Alphabet, SymbolicSequence, _read_only
 
 __all__ = [
     "MatrixError",
@@ -68,52 +79,73 @@ class MatrixError(ValueError):
     """Candidate transform matrix violates the row-orthogonality contract."""
 
 
+def _checked_codes(codes, size: int) -> np.ndarray:
+    """*codes* as read-only int64 codes into an alphabet of *size* symbols."""
+    codes = _read_only(codes, np.int64)
+    if codes.ndim != 1 or codes.size < 1:
+        raise MatrixError("codes must be a non-empty 1-D array")
+    if codes.min() < 0 or codes.max() >= size:
+        raise MatrixError(f"codes must lie in 0..{size - 1}")
+    return codes
+
+
+def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``table[:, codes]``, read-only: one column per sequence position."""
+    rows = np.take(table, codes, axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True, repr=False)
 class IndicatorMatrix:
     """T x m binary matrix; row t marks the positions of symbol t.
 
-    Every column sums to exactly 1 (each position holds exactly one symbol),
-    so the rows partition 0..m-1 into the per-symbol index sets.
+    Stored as the sequence's codes (shared, not copied); ``rows`` is the
+    identity ``table`` gathered at the codes, derived on each access. Every
+    column sums to exactly 1 (each position holds exactly one symbol), so
+    the rows partition 0..m-1 into the per-symbol index sets. Build one
+    with :func:`build_indicators`.
     """
 
     alphabet: Alphabet
-    rows: np.ndarray
+    codes: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] != self.alphabet.size:
-            raise MatrixError("indicator matrix must have one row per alphabet symbol")
-        if rows.shape[1] < 1:
-            raise MatrixError("indicator matrix must have at least one column")
-        if not np.all((rows == 0.0) | (rows == 1.0)):
-            raise MatrixError("indicator entries must be 0 or 1")
-        if not np.all(rows.sum(axis=0) == 1.0):
-            raise MatrixError("every indicator column must sum to exactly 1")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "codes", _checked_codes(self.codes, self.alphabet.size))
 
     @property
     def m(self) -> int:
-        return int(self.rows.shape[1])
+        return int(self.codes.size)
+
+    @property
+    def table(self) -> np.ndarray:
+        """T x T identity: column t is the basic vector of symbol t."""
+        return np.eye(self.alphabet.size)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The dense T x m indicator rows, gathered on each access."""
+        return _gather(self.table, self.codes)
 
     @property
     def counts(self) -> np.ndarray:
         """Occurrences of each symbol (row sums); sums to m."""
-        return self.rows.sum(axis=1).astype(np.int64)
+        return np.bincount(self.codes, minlength=self.alphabet.size).astype(np.int64)
 
     def support(self, symbol: str) -> np.ndarray:
         """Positions where *symbol* occurs."""
-        return np.flatnonzero(self.rows[self.alphabet.index(symbol)])
+        return np.flatnonzero(self.codes == self.alphabet.index(symbol))
 
     def __repr__(self) -> str:
         return f"IndicatorMatrix(alphabet={self.alphabet}, m={self.m})"
 
 
 def build_indicators(seq: SymbolicSequence) -> IndicatorMatrix:
-    """Binary indicator rows of *seq*: rows[t, j] = 1 iff seq[j] is symbol t."""
-    t = np.arange(seq.alphabet.size)
-    rows = (t[:, None] == seq.codes[None, :]).astype(np.float64)
-    return IndicatorMatrix(seq.alphabet, rows)
+    """Indicator rows of *seq*: rows[t, j] = 1 iff seq[j] is symbol t.
+
+    The result holds ``seq.codes`` itself, so building it copies nothing.
+    """
+    return IndicatorMatrix(seq.alphabet, seq.codes)
 
 
 @dataclass(frozen=True, repr=False)
@@ -248,31 +280,45 @@ def build_helmert(size: int, symbols: Sequence[str] | None = None) -> Representa
 
 @dataclass(frozen=True, repr=False)
 class TransformedSignal:
-    """T-1 real channels of length m produced by apply_representation."""
+    """T-1 real channels of length m produced by apply_representation.
 
-    channels: np.ndarray
+    Stored as ``table``, the (T-1) x T transform with its columns in the
+    alphabet's order, and the sequence's ``codes``: channel l at position j
+    is ``table[l, codes[j]]``, and ``channels`` gathers them on each access.
+    The table is normalised once, on construction, so that a -0.0 entry
+    reads as 0.0.
+    """
+
+    table: np.ndarray
+    codes: np.ndarray
     name: str
     d: float
 
     def __post_init__(self):
-        channels = np.array(self.channels, dtype=np.float64)
-        if channels.ndim != 2:
-            raise MatrixError("channels must be a 2-D array")
-        channels.setflags(write=False)
-        object.__setattr__(self, "channels", channels)
+        table = np.array(self.table, dtype=np.float64) + 0.0  # -0.0 -> 0.0
+        if table.ndim != 2 or table.shape[1] != table.shape[0] + 1 or table.shape[0] < 1:
+            raise MatrixError("transform table must be (T-1) x T with T >= 2")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "codes", _checked_codes(self.codes, table.shape[1]))
 
     @property
     def m(self) -> int:
-        return int(self.channels.shape[1])
+        return int(self.codes.size)
 
     @property
     def n_channels(self) -> int:
-        return int(self.channels.shape[0])
+        return int(self.table.shape[0])
 
     @property
     def size(self) -> int:
-        """Alphabet size T implied by the channel count."""
-        return self.n_channels + 1
+        """Alphabet size T (the table's column count)."""
+        return int(self.table.shape[1])
+
+    @property
+    def channels(self) -> np.ndarray:
+        """The dense (T-1) x m channels, gathered on each access."""
+        return _gather(self.table, self.codes)
 
     def __repr__(self) -> str:
         return f"TransformedSignal(name={self.name!r}, channels={self.n_channels}, m={self.m})"
@@ -283,7 +329,10 @@ def apply_representation(ind: IndicatorMatrix, rep: RepresentationMatrix) -> Tra
 
     Columns are matched to indicator rows by symbol when the matrix carries
     an alphabet order, positionally otherwise. Every output entry is the dot
-    product of a matrix row with one indicator column.
+    product of a matrix row with one indicator column, which has a single
+    nonzero term: the matrix entry in that position's symbol column. So the
+    result is the matrix with its columns put in the alphabet's order,
+    together with the indicators' codes; no channel is computed here.
     """
     T = ind.alphabet.size
     if rep.size != T:
@@ -291,16 +340,16 @@ def apply_representation(ind: IndicatorMatrix, rep: RepresentationMatrix) -> Tra
             f"matrix {rep.name!r} has {rep.size} columns but the alphabet {ind.alphabet} has {T} symbols"
         )
     if rep.alphabet_order is None:
-        ordered = ind.rows
+        table = rep.rows
     else:
         for s in rep.alphabet_order:
             if s not in ind.alphabet:
                 raise MatrixError(
                     f"matrix {rep.name!r} column symbol {s!r} is missing from alphabet {ind.alphabet}"
                 )
-        perm = np.array([ind.alphabet.index(s) for s in rep.alphabet_order])
-        ordered = ind.rows[perm]
-    return TransformedSignal(channels=rep.rows @ ordered, name=rep.name, d=rep.d)
+        table = np.empty_like(rep.rows)
+        table[:, [ind.alphabet.index(s) for s in rep.alphabet_order]] = rep.rows
+    return TransformedSignal(table=table, codes=ind.codes, name=rep.name, d=rep.d)
 
 
 def cumulative_coordinates(sig: TransformedSignal) -> np.ndarray:

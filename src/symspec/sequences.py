@@ -35,6 +35,21 @@ class SequenceError(ValueError):
     """Malformed sequence input or alphabet violation."""
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """*values* as a read-only array of *dtype*.
+
+    A read-only array of that dtype is kept as it is, so objects built from
+    one another share its buffer (a sequence's codes and its indicators'
+    codes are one array); anything else is copied first, so that no caller
+    can write to the stored array afterwards.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != dtype or arr.flags.writeable:
+        arr = np.array(arr, dtype=dtype)
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered collection of distinct single-character symbols.
@@ -60,11 +75,17 @@ class Alphabet:
         return {s: i for i, s in enumerate(self.symbols)}
 
     @cached_property
+    def _points(self) -> np.ndarray:
+        """Code point of each symbol, in alphabet order."""
+        points = np.array([ord(s) for s in self.symbols], dtype=np.uint32)
+        points.setflags(write=False)
+        return points
+
+    @cached_property
     def _sorted_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Symbol code points in ascending order, and each one's alphabet index."""
-        points = np.array([ord(s) for s in self.symbols], dtype=np.uint32)
-        order = np.argsort(points)
-        return points[order], order.astype(np.int64)
+        order = np.argsort(self._points)
+        return self._points[order], order.astype(np.int64)
 
     @property
     def size(self) -> int:
@@ -118,14 +139,13 @@ class SymbolicSequence:
     id: str | None = None
 
     def __post_init__(self):
-        codes = np.array(self.codes, dtype=np.int64)
+        codes = _read_only(self.codes, np.int64)
         if codes.ndim != 1:
             raise SequenceError("sequence codes must be 1-D")
         if codes.size == 0:
             raise SequenceError("empty sequence")
         if codes.min() < 0 or codes.max() >= self.alphabet.size:
             raise SequenceError("sequence codes fall outside the alphabet range")
-        codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -147,8 +167,9 @@ class SymbolicSequence:
         return f"SymbolicSequence(id={self.id!r}, m={self.m}, alphabet={self.alphabet})"
 
     def as_string(self) -> str:
-        symbols = self.alphabet.symbols
-        return "".join(symbols[c] for c in self.codes)
+        """The symbols as text: one code-point lookup and one UTF-32 decode."""
+        points = self.alphabet._points[self.codes]
+        return points.tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -> SymbolicSequence:
@@ -172,28 +193,29 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
         raise SequenceError(
             f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
         )
-    return SymbolicSequence(alphabet, sorted_codes[slots], id=id)
+    codes = sorted_codes[slots]
+    codes.setflags(write=False)  # a fresh array: the sequence keeps it, uncopied
+    return SymbolicSequence(alphabet, codes, id=id)
 
 
 def _records(text: str) -> list[tuple[str | None, str]]:
     """Split raw input into (id, body) pairs.
 
     Input whose first non-blank line, after any ';' comment lines, starts
-    with '>' is FASTA, where ';' lines are comments and are skipped; anything
-    else is a single headerless record.
+    with '>' is FASTA; anything else is a single headerless record. In both,
+    lines starting with ';' are comments and are skipped.
     """
     head = text.lstrip()
     while head.startswith(";"):
         head = head.partition("\n")[2].lstrip()
+    lines = [line for line in text.splitlines() if not line.startswith(";")]
     if not head.startswith(">"):
-        return [(None, text)]
+        return [(None, "\n".join(lines))]
     records: list[tuple[str | None, str]] = []
     header: str | None = None
     body: list[str] = []
     started = False
-    for line in text.splitlines():
-        if line.startswith(";"):
-            continue
+    for line in lines:
         if line.startswith(">"):
             if started:
                 records.append((header, "".join(body)))
@@ -206,14 +228,39 @@ def _records(text: str) -> list[tuple[str | None, str]]:
     return records
 
 
+# Characters that mark FASTA headers and comments; never inferred as symbols.
+_MARKERS = ">;"
+
+
+def _infer_alphabet(records: list[tuple[str | None, str]]) -> Alphabet:
+    """The sorted set of characters in the cleaned record bodies.
+
+    A marker character in a body is an error that names its first
+    occurrence (1-based within the cleaned body, as the encoder counts).
+    """
+    seen = set().union(*(set(body) for _, body in records))
+    if not seen.isdisjoint(_MARKERS):
+        for rid, body in records:
+            hits = [pos for pos in map(body.find, _MARKERS) if pos >= 0]
+            if hits:
+                pos = min(hits)
+                where = f" of record {rid!r}" if rid else ""
+                raise SequenceError(
+                    f"character {body[pos]!r} at position {pos + 1}{where} marks a "
+                    "FASTA header or comment and is never inferred as a symbol"
+                )
+    return Alphabet(tuple(sorted(seen)))
+
+
 def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSequence]:
     """Parse FASTA or headerless plain text into sequences.
 
     With ``alphabet=None`` the alphabet is inferred as the sorted set of
-    distinct characters over all records; otherwise every character must
-    belong to the given alphabet. Whitespace and line wrapping inside record
-    bodies are ignored and case is folded to upper. In FASTA input, lines
-    starting with ';' are comments.
+    distinct characters over all records, which must not include the
+    markers '>' and ';'; otherwise every character must belong to the given
+    alphabet. Whitespace and line wrapping inside record bodies are ignored
+    and case is folded to upper. Lines starting with ';' are comments, in
+    FASTA and in headerless input.
     """
     if not text.strip():
         raise SequenceError("no sequence records in input")
@@ -225,8 +272,7 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
             raise SequenceError(f"empty sequence{where}")
         cleaned.append((rid, body))
     if alphabet is None:
-        seen = sorted(set().union(*(set(body) for _, body in cleaned)))
-        alphabet = Alphabet(tuple(seen))
+        alphabet = _infer_alphabet(cleaned)
     return [sequence_from_string(body, alphabet, id=rid) for rid, body in cleaned]
 
 

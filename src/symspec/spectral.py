@@ -18,11 +18,17 @@ spectrum away from k = 0:
 
 ``snr_ratio_check`` and ``verify_total_spectrum`` measure those identities
 numerically; both accept reports the caller already holds, so a command
-computes each spectrum once. Reports take their power from ``_power``, one
-real-input FFT kernel that uses P(k) = P(m - k) to transform only half the
-bins. ``dft_naive`` is the O(m^2) direct-summation reference that
-``_power`` and the public complex-input ``dft_fast`` are both tested
-against, bin for bin.
+computes each spectrum once.
+
+Every representation is a table gathered at the sequence's codes (see
+symspec.representations): the identity for the indicator rows, the
+transform in alphabet column order for the channels. Base and transformed
+reports take their power from one kernel, ``_power(table, codes)``, which
+gathers a few rows of ``table[:, codes]`` at a time and runs a real-input
+FFT on them, using P(k) = P(m - k) to transform only half the bins; no
+dense T x m array is ever held. ``dft_naive`` is the O(m^2)
+direct-summation reference that ``_power`` and the public complex-input
+``dft_fast`` are both tested against, bin for bin.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .representations import IndicatorMatrix, RepresentationMatrix, TransformedSignal, apply_representation
+from .sequences import _read_only
 
 __all__ = [
     "IDENTITY_RTOL",
@@ -54,7 +61,7 @@ IDENTITY_RTOL = 1e-9   # relative tolerance for the spectral identities
 DFT_MATCH_TOL = 1e-9   # per-bin fast-vs-naive tolerance (relative, floor 1e-9)
 BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 
-_BLOCK_BINS = 2**20  # complex rfft bins held at once by _power
+_BLOCK_BINS = 2**20  # complex rfft bins per block of rows summed by _power
 
 
 def dft_naive(x) -> np.ndarray:
@@ -104,9 +111,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         for name in ("power", "snr"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name), np.float64))
 
     def snr_at(self, k: int) -> float:
         """SNR at frequency bin k, 1 <= k <= m-1."""
@@ -121,38 +126,57 @@ class SpectrumReport:
         )
 
 
-def _power(rows: np.ndarray) -> np.ndarray:
-    """Summed power spectrum sum_t |DFT(rows[t])(k)|^2, k = 0 .. m-1, of real rows.
+def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Summed power spectrum sum_l |DFT(table[l, codes])(k)|^2, k = 0 .. m-1.
+
+    Row l of the signal is table row l gathered at the codes: the identity
+    table gives the indicator rows, a transform's table (columns in alphabet
+    order) its channels. Rows are gathered a batch at a time, about
+    _BLOCK_BINS / m rows, so the gathered rows and their spectra together
+    take about as much memory as _BLOCK_BINS complex bins (16 MiB), and the
+    dense rows are never held.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
-    power and the rest is mirrored: P(k) = P(m - k). Rows are transformed in
-    blocks of about _BLOCK_BINS bins to bound the temporary complex arrays.
+    power and the rest is mirrored: P(k) = P(m - k). Row powers are summed
+    in blocks of about _BLOCK_BINS half-spectrum bins, row after row within
+    a block, and each block's sum is added into the total. That order does
+    not depend on the batches, so the power is bit for bit the same as that
+    of one rfft over each whole block of dense rows.
 
     The mirror is a copy, so P(k) == P(m - k) holds exactly, bit for bit, and
     so does snr[k - 1] == snr[m - k - 1]. The CLI's profile renderers rely
     on it: they format half of each column and mirror the strings (after
     checking the column reads the same both ways).
     """
-    n_rows, m = rows.shape
+    n_rows, m = table.shape[0], codes.size
     half = np.zeros(m // 2 + 1)
-    step = max(1, _BLOCK_BINS // half.size)
+    step = max(1, _BLOCK_BINS // half.size)  # rows per summed block
+    batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
     for start in range(0, n_rows, step):
-        spectra = np.fft.rfft(rows[start : start + step], axis=1)
-        block = spectra.real**2
-        block += spectra.imag**2
-        half += block.sum(axis=0)
+        stop = min(start + step, n_rows)
+        block = 0.0
+        for first in range(start, stop, batch):
+            spectra = np.fft.rfft(np.take(table[first : min(first + batch, stop)], codes, axis=1), axis=1)
+            power = spectra.real**2
+            power += spectra.imag**2
+            power[0] += block  # so the sum below continues the block's running sum
+            block = power.sum(axis=0)
+            del spectra, power  # before the next batch is gathered
+        half += block
     full = np.empty(m)
     full[: half.size] = half
     full[half.size :] = half[m - half.size : 0 : -1]
     return full
 
 
-def _report(name: str, size: int, d: float | None, channels: np.ndarray) -> SpectrumReport:
-    power = _power(channels)
+def _report(name: str, size: int, d: float | None, table: np.ndarray, codes: np.ndarray) -> SpectrumReport:
+    power = _power(table, codes)
     total = float(np.sum(power))
-    m = channels.shape[1]
+    m = codes.size
     mean_noise = total / m
     snr = power[1:] / mean_noise
+    for arr in (power, snr):
+        arr.setflags(write=False)  # kept by the report as they are
     return SpectrumReport(
         representation=name,
         m=m,
@@ -171,7 +195,7 @@ def spectrum_base(ind: IndicatorMatrix) -> SpectrumReport:
     Its total is exactly m^2 and its mean noise exactly m, so the SNR
     profile is sum_t |U_t(k)|^2 / m.
     """
-    return _report("base", ind.alphabet.size, None, ind.rows)
+    return _report("base", ind.alphabet.size, None, ind.table, ind.codes)
 
 
 def spectrum_transformed(sig: TransformedSignal) -> SpectrumReport:
@@ -180,7 +204,7 @@ def spectrum_transformed(sig: TransformedSignal) -> SpectrumReport:
     Total equals d^2 (T-1)/T m^2; the SNR profile is T/(T-1) times the base
     profile regardless of d.
     """
-    return _report(sig.name, sig.size, sig.d, sig.channels)
+    return _report(sig.name, sig.size, sig.d, sig.table, sig.codes)
 
 
 @dataclass(frozen=True)
@@ -239,9 +263,7 @@ class RatioCheck:
     skipped_bins: int
 
     def __post_init__(self):
-        arr = np.array(self.ratios, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "ratios", arr)
+        object.__setattr__(self, "ratios", _read_only(self.ratios, np.float64))
 
     @property
     def vacuous(self) -> bool:
@@ -283,6 +305,7 @@ def snr_ratio_check(
     ratios[mask] = transformed.snr[mask] / base.snr[mask]
     checked = int(np.count_nonzero(mask))
     max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
+    ratios.setflags(write=False)
     return RatioCheck(
         expected=expected,
         ratios=ratios,

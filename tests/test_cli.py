@@ -252,6 +252,37 @@ class TestVerify:
         assert "positive count" in err
 
 
+_ONE_OF_EACH_COMMAND = {
+    "analyze": ["analyze", "--format", "json"],
+    "compare": ["compare", "--rep", "base", "--rep", "helmert", "--format", "json"],
+    "verify": ["verify", "--rep", "helmert", "--format", "json"],
+    "spectrum": ["spectrum", "--format", "json"],
+}
+
+
+class TestHeaderlessInput:
+    """Headerless input skips ';' comment lines, as FASTA input does, and an
+    inferred alphabet never takes the FASTA markers '>' and ';' as symbols."""
+
+    @pytest.mark.parametrize("command", sorted(_ONE_OF_EACH_COMMAND))
+    def test_comment_lines_are_skipped(self, run, command):
+        # Regression: ';c\nACGT' was read as ';CACGT' over the alphabet ';ACGT'.
+        argv = _ONE_OF_EACH_COMMAND[command]
+        code, out, err = run(argv, stdin_text=";c\nACGT\n;x\nTGCA\n")
+        assert code == 0, err
+        assert (code, out, err) == run(argv, stdin_text="ACGT\nTGCA\n")
+
+    @pytest.mark.parametrize("command", sorted(_ONE_OF_EACH_COMMAND))
+    def test_markers_are_rejected(self, run, command):
+        # Regression: 'AC>GT 12' was analyzed over the alphabet '12>ACGT', exit 0.
+        code, out, err = run(_ONE_OF_EACH_COMMAND[command], stdin_text="AC>GT 12\n")
+        assert (code, out) == (2, "")
+        assert err == (
+            "symspec: error: -: character '>' at position 3 marks a FASTA header "
+            "or comment and is never inferred as a symbol\n"
+        )
+
+
 class TestSpectraComputedOnce:
     """Each command computes the base spectrum once per sequence and one
     spectrum per transform, however many checks use them."""

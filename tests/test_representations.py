@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from symspec import (
     DNA,
     Alphabet,
+    IndicatorMatrix,
     MatrixError,
     SymbolicSequence,
     apply_representation,
@@ -30,6 +31,10 @@ dna_codes = st.lists(st.integers(0, 3), min_size=1, max_size=200)
 
 def dna(text):
     return sequence_from_string(text, DNA)
+
+
+def random_sequence_dna(m):
+    return SymbolicSequence(DNA, np.random.default_rng(m).integers(0, 4, m))
 
 
 class TestIndicators:
@@ -60,6 +65,23 @@ class TestIndicators:
         ind = build_indicators(SymbolicSequence(DNA, np.array(codes)))
         np.testing.assert_array_equal(ind.rows.sum(axis=0), np.ones(len(codes)))
         assert int(ind.counts.sum()) == len(codes)
+
+    def test_constructor_takes_codes(self):
+        ind = IndicatorMatrix(DNA, [0, 1, 1, 3])
+        np.testing.assert_array_equal(ind.rows, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+        np.testing.assert_array_equal(ind.table, np.eye(4))
+        assert ind.m == 4 and list(ind.counts) == [1, 2, 0, 1]
+
+    @pytest.mark.parametrize("codes", [[], [[0, 1]], [0, 4], [-1, 0]])
+    def test_constructor_rejects_bad_codes(self, codes):
+        with pytest.raises(MatrixError, match="codes"):
+            IndicatorMatrix(DNA, codes)
+
+    def test_derived_arrays_are_read_only(self):
+        ind = build_indicators(dna("ACGTT"))
+        sig = apply_representation(ind, build_zcurve())
+        for arr in (ind.codes, ind.rows, sig.table, sig.codes, sig.channels):
+            assert not arr.flags.writeable
 
 
 class TestValidateRowOrthogonal:
@@ -149,6 +171,28 @@ class TestBuilders:
 
 
 class TestApplyRepresentation:
+    @pytest.mark.parametrize(
+        "rep", [build_zcurve(), build_tetrahedron(), build_helmert(4), build_helmert(4, "TGCA")],
+        ids=lambda rep: f"{rep.name}-{rep.alphabet_order}",
+    )
+    def test_channels_equal_the_dense_product(self, rep):
+        # The table gather gives bit for bit what the matrix times the
+        # (permuted) dense indicator rows gave.
+        ind = build_indicators(random_sequence_dna(500))
+        order = rep.alphabet_order or ind.alphabet.symbols
+        dense = rep.rows @ ind.rows[[ind.alphabet.index(s) for s in order]]
+        sig = apply_representation(ind, rep)
+        assert np.array_equal(sig.channels.view(np.uint64), dense.view(np.uint64))
+
+    def test_negative_zero_entries_read_as_zero(self):
+        tet = build_tetrahedron()
+        signed = validate_row_orthogonal(np.where(tet.rows == 0.0, -0.0, tet.rows), tet.alphabet_order)
+        assert np.signbit(signed.rows[signed.rows == 0.0]).all()
+        ind = build_indicators(dna("ACGTTGCA"))
+        sig = apply_representation(ind, signed)
+        assert not np.signbit(sig.table[sig.table == 0.0]).any()
+        assert sig.table.tobytes() == apply_representation(ind, tet).table.tobytes()
+
     def test_acgt_under_zcurve(self):
         sig = apply_representation(build_indicators(dna("ACGT")), build_zcurve())
         np.testing.assert_allclose(

@@ -1,6 +1,9 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspec import (
@@ -8,12 +11,14 @@ from symspec import (
     PROTEIN,
     Alphabet,
     SequenceError,
+    SymbolicSequence,
     default_alphabet,
     parse_fasta,
     random_sequence,
     sequence_from_string,
     to_fasta,
 )
+from symspec.cli import main
 
 
 class TestAlphabet:
@@ -92,6 +97,31 @@ class TestParseFasta:
         assert str(seqs[0].alphabet) == "ACGT"
         assert seqs[0].as_string() == "ACGTAC"
 
+    def test_headerless_comment_lines_are_skipped(self):
+        # Regression: in headerless input ';' lines were read as sequence
+        # data, so ';c\nACGT' inferred the alphabet ';ACGT'.
+        (seq,) = parse_fasta(";c\nAC\n;x\nGT\n")
+        assert str(seq.alphabet) == "ACGT"
+        assert seq.as_string() == "ACGT"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("AC>GT 12\n", "'>' at position 3 marks"),
+            ("ACGT;x\n", "';' at position 5 marks"),
+            ("AC;G>T", "';' at position 3 marks"),
+            (">r1\nAC\nG>T\n", "'>' at position 4 of record 'r1' marks"),
+            (">r1\nACGT\n>r2\nA;\n", "';' at position 2 of record 'r2' marks"),
+        ],
+    )
+    def test_markers_are_never_inferred(self, text, message):
+        with pytest.raises(SequenceError, match=message):
+            parse_fasta(text)
+
+    def test_digits_are_inferred_symbols(self):
+        (seq,) = parse_fasta("AC 12\n")
+        assert str(seq.alphabet) == "12AC"
+
 
 class TestSequenceFromString:
     def test_single_symbol_repeated(self):
@@ -139,6 +169,99 @@ def test_fasta_round_trip(bodies):
 def test_headerless_round_trip(body):
     (seq,) = parse_fasta(body, DNA)
     assert parse_fasta(to_fasta(seq), DNA) == [seq]
+
+
+# Characters a FASTA round trip keeps: not whitespace, not a marker, and
+# unchanged by the upper-casing every input goes through.
+_symbols = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")).filter(
+    lambda c: not c.isspace() and c not in ">;" and c.upper() == c
+)
+_alphabets = st.lists(_symbols, min_size=2, max_size=8, unique=True).map(lambda s: Alphabet(tuple(s)))
+_ids = st.one_of(
+    st.none(),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12).filter(
+        lambda s: s.strip() == s
+    ),
+)
+
+
+def _draw_records(data, alphabet):
+    """A few sequences over *alphabet*, each with a random id."""
+    n = data.draw(st.integers(1, 4))
+    codes = st.lists(st.integers(0, alphabet.size - 1), min_size=1, max_size=100)
+    return [SymbolicSequence(alphabet, data.draw(codes), id=data.draw(_ids)) for _ in range(n)]
+
+
+@given(data=st.data())
+def test_fasta_round_trip_random_alphabets_ids_and_widths(data):
+    alphabet = data.draw(_alphabets)
+    seqs = _draw_records(data, alphabet)
+    width = data.draw(st.integers(1, 80))
+    assert parse_fasta(to_fasta(seqs, width=width), alphabet) == seqs
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_stray_character_is_rejected_with_the_encoder_message(data, tmp_path_factory):
+    alphabet = data.draw(_alphabets)
+    seqs = _draw_records(data, alphabet)
+    stray = data.draw(_symbols.filter(lambda c: c not in alphabet))
+    bad = data.draw(st.integers(0, len(seqs) - 1))
+    bodies = [seq.as_string() for seq in seqs]
+    pos = data.draw(st.integers(0, len(bodies[bad])))
+    bodies[bad] = bodies[bad][:pos] + stray + bodies[bad][pos:]
+    width = data.draw(st.integers(1, 80))
+    text = "".join(
+        f">{seq.id or ''}\n" + "".join(body[i : i + width] + "\n" for i in range(0, len(body), width))
+        for seq, body in zip(seqs, bodies)
+    )
+    with pytest.raises(SequenceError) as encoder:
+        sequence_from_string(bodies[bad], alphabet, id=seqs[bad].id)
+    message = str(encoder.value)
+    assert message.startswith(f"character {stray!r} at position {pos + 1}")
+    with pytest.raises(SequenceError) as parser:
+        parse_fasta(text, alphabet)
+    assert str(parser.value) == message
+    # The command line reports the same message and exits 2.
+    path = tmp_path_factory.mktemp("stray") / "input.fa"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--rep", "helmert", f"--alphabet={alphabet}", "--input", str(path)])
+    assert code == 2
+    assert err.getvalue() == f"symspec: error: {path}: {message}\n"
+
+
+def _as_string_per_character(seq):
+    """The original per-character as_string, kept as the reference."""
+    return "".join(seq.alphabet.symbols[c] for c in seq.codes)
+
+
+_AS_STRING_ALPHABETS = [
+    DNA,
+    PROTEIN,
+    Alphabet("ACGTN-"),
+    Alphabet("ΑΒΓ"),
+    Alphabet(("A", "é", "\U0001f600", "\ud800", "7")),  # 1-4 byte UTF-8 and a lone surrogate
+]
+
+
+@given(data=st.data())
+def test_as_string_matches_per_character_reference(data):
+    alphabet = data.draw(st.sampled_from(_AS_STRING_ALPHABETS))
+    codes = data.draw(st.lists(st.integers(0, alphabet.size - 1), min_size=1, max_size=200))
+    seq = SymbolicSequence(alphabet, codes)
+    assert seq.as_string() == _as_string_per_character(seq)
+
+
+def test_codes_are_kept_not_copied():
+    codes = np.array([0, 1, 2, 3])
+    codes.setflags(write=False)
+    assert SymbolicSequence(DNA, codes).codes is codes
+    writable = np.array([0, 1, 2, 3])
+    seq = SymbolicSequence(DNA, writable)
+    writable[0] = 3
+    assert seq.codes[0] == 0 and not seq.codes.flags.writeable
 
 
 def test_random_sequence_is_seed_deterministic():

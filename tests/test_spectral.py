@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestDftFast:
         assert dft_max_deviation(dft_fast(x), dft_naive(x)) < TOL
 
 
+def _power_of_dense_rows(rows):
+    """The kernel as it was before rows were gathered from a table: one rfft
+    over each whole block of dense rows, kept as the bit-for-bit reference."""
+    n_rows, m = rows.shape
+    half = np.zeros(m // 2 + 1)
+    step = max(1, spectral._BLOCK_BINS // half.size)
+    for start in range(0, n_rows, step):
+        spectra = np.fft.rfft(rows[start : start + step], axis=1)
+        block = spectra.real**2
+        block += spectra.imag**2
+        half += block.sum(axis=0)
+    full = np.empty(m)
+    full[: half.size] = half
+    full[half.size :] = half[m - half.size : 0 : -1]
+    return full
+
+
 class TestPowerKernel:
     """The kernel every report takes its power from, against the naive DFT."""
 
@@ -83,12 +101,11 @@ class TestPowerKernel:
         rng = np.random.default_rng([size, m])
         ind = build_indicators(random_sequence(default_alphabet(size), m, rng))
         naive = np.array([dft_naive(row) for row in ind.rows])
-        helmert = build_helmert(size)
-        channels = apply_representation(ind, helmert).channels
+        sig = apply_representation(ind, build_helmert(size))
         # The DFT is linear, so the channels' spectra are the same mix of the rows'.
-        for rows, spectra in ((ind.rows, naive), (channels, helmert.rows @ naive)):
+        for table, spectra in ((ind.table, naive), (sig.table, sig.table @ naive)):
             expected = np.sum(np.abs(spectra) ** 2, axis=0)
-            assert np.max(np.abs(spectral._power(rows) - expected)) <= DFT_MATCH_TOL * m
+            assert np.max(np.abs(spectral._power(table, ind.codes) - expected)) <= DFT_MATCH_TOL * m
 
     @pytest.mark.parametrize("size", [2, 4, 20])
     def test_every_length_up_to_64(self, size):
@@ -101,10 +118,59 @@ class TestPowerKernel:
         self._check(size, m)
 
     def test_blocks_cover_every_row(self, monkeypatch):
-        rows = np.random.default_rng(9).standard_normal((7, 40))
-        whole = spectral._power(rows)
+        rng = np.random.default_rng(9)
+        table, codes = rng.standard_normal((7, 5)), rng.integers(0, 5, 40)
+        expected = np.sum(np.abs([dft_naive(row) for row in table[:, codes]]) ** 2, axis=0)
+        whole = spectral._power(table, codes)
         monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 21 half bins: one row per block
-        np.testing.assert_allclose(spectral._power(rows), whole, rtol=1e-12)
+        forced = spectral._power(table, codes)
+        np.testing.assert_allclose(forced, whole, rtol=1e-12)
+        assert np.max(np.abs(forced - expected)) <= DFT_MATCH_TOL * 40
+
+    @pytest.mark.parametrize(
+        "block_bins, size, m",
+        [
+            (2**20, 4, 1000),  # one block, one batch
+            (2**20, 20, 65537),  # one block of 20 rows, in batches of 15 and 5
+            (2**20, 20, 200_001),  # blocks of 10 rows, each in batches of 5
+            (300, 20, 100),  # blocks of 5 rows, each in batches of 3 and 2
+            (120, 7, 60),  # blocks of 3 rows, in batches of 2 and 1
+            (8, 5, 33),  # one row per block and per batch
+        ],
+    )
+    def test_bit_identical_to_dense_blocks(self, monkeypatch, block_bins, size, m):
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", block_bins)
+        rng = np.random.default_rng([block_bins, size, m])
+        ind = build_indicators(random_sequence(default_alphabet(size), m, rng))
+        for sig in (ind, apply_representation(ind, build_helmert(size))):
+            got = spectral._power(sig.table, ind.codes)
+            want = _power_of_dense_rows(sig.rows if sig is ind else sig.channels)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNoDenseMatrix:
+    """Indicators and transforms hold codes and a table; a spectrum holds a
+    few gathered rows at a time, never the dense T x m matrix."""
+
+    def test_indicators_share_the_sequence_codes(self):
+        seq = random_sequence(PROTEIN, 1000, np.random.default_rng(5))
+        ind = build_indicators(seq)
+        assert np.shares_memory(ind.codes, seq.codes)
+        assert np.shares_memory(apply_representation(ind, build_helmert(20)).codes, seq.codes)
+
+    def test_spectra_peak_below_one_dense_matrix(self):
+        size, m = 20, 200_000
+        seq = random_sequence(PROTEIN, m, np.random.default_rng(20))
+        dense_bytes = size * m * 8  # 32 MB
+        tracemalloc.start()
+        try:
+            ind = build_indicators(seq)
+            spectrum_base(ind)
+            spectrum_transformed(apply_representation(ind, build_helmert(size)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
 
 class TestExactSymmetry:
