@@ -193,69 +193,86 @@ def _resolve_rep(name: str, alphabet: Alphabet) -> RepresentationMatrix | None:
     raise ValueError(f"unknown representation {name!r}")
 
 
-def _analysis_entry(ind, rep: RepresentationMatrix | None, period: int, base):
-    """Report dict for one representation: summary, peak, identity checks.
-
-    *base* is the ``spectrum_base`` report of *ind*, computed once per command.
-    """
-    m = ind.m
-    T = ind.alphabet.size
-    if rep is None:
-        report = base
-        name = "base"
-        expected_total = float(m) ** 2
-        ratio = None
-    else:
-        report = spectral.spectrum_transformed(apply_representation(ind, rep))
-        name = rep.name
-        expected_total = rep.d**2 * (T - 1) / T * float(m) ** 2
-        ratio = spectral.snr_ratio_check(ind, rep, base=base, transformed=report)
-
-    total_pass = abs(report.total - expected_total) <= spectral.IDENTITY_RTOL * expected_total
-    if period <= m:
-        peak = spectral.periodicity_query(report, period)
-        peak_dict = {"k": peak.k, "exact": peak.exact, "power": peak.power, "snr": peak.snr}
-    else:
-        peak_dict = None
-
-    if ratio is None:
-        # Base against itself: the reference ratio is identically 1.
-        ratio_dict = {
-            "expected": 1.0, "max_dev": 0.0,
-            "checked_bins": m - 1, "skipped_bins": 0,
-            "vacuous": False, "pass": True,
-        }
-    else:
-        ratio_dict = {
-            "expected": ratio.expected,
-            "max_dev": None if ratio.vacuous else ratio.max_deviation,
-            "checked_bins": ratio.checked_bins,
-            "skipped_bins": ratio.skipped_bins,
-            "vacuous": ratio.vacuous,
-            "pass": ratio.passed(),
-        }
-
-    entry = {
-        "name": name,
-        "d": None if rep is None else float(rep.d),
-        "total": float(report.total),
-        "mean_noise": float(report.mean_noise),
-        "peak": peak_dict,
-        "theorem_checks": {
-            "total_spectrum": {
-                "expected": float(expected_total),
-                "measured": float(report.total),
-                "pass": bool(total_pass),
-            },
-            "snr_ratio": ratio_dict,
-        },
+def _ratio_fields(rc: spectral.RatioCheck) -> dict:
+    """The SNR-ratio check fields of a ``RatioCheck``, as reports print them."""
+    return {
+        "expected": rc.expected,
+        "max_dev": None if rc.vacuous else rc.max_deviation,
+        "checked_bins": rc.checked_bins,
+        "skipped_bins": rc.skipped_bins,
+        "vacuous": rc.vacuous,
+        "pass": rc.passed(),
     }
-    return entry, report
 
 
-def _entry_checks_pass(entry) -> bool:
-    checks = entry["theorem_checks"]
-    return checks["total_spectrum"]["pass"] and checks["snr_ratio"]["pass"]
+def _analyses(args, rep_names):
+    """The one input record analysed under each named representation.
+
+    Returns the sequence, its input label, one (entry, report) pair per
+    representation, the notes and the exit status: 0 when every identity
+    check passes, 1 otherwise. The base spectrum is computed once.
+    """
+    seq, label = _load_single(args)
+    ind = build_indicators(seq)
+    base = spectral.spectrum_base(ind)
+    analyses, passed = [], []
+    for rep_name in rep_names:
+        rep = _resolve_rep(rep_name, seq.alphabet)
+        if rep is None:
+            report = base
+            # Base against itself: the reference ratio is identically 1.
+            ratio = {
+                "expected": 1.0, "max_dev": 0.0,
+                "checked_bins": seq.m - 1, "skipped_bins": 0,
+                "vacuous": False, "pass": True,
+            }
+        else:
+            report = spectral.spectrum_transformed(apply_representation(ind, rep))
+            ratio = _ratio_fields(spectral.snr_ratio_check(ind, rep, base=base, transformed=report))
+        total = spectral.verify_total_spectrum(ind, report=report)
+        if args.period > seq.m:
+            peak = None
+        else:
+            pk = spectral.periodicity_query(report, args.period)
+            peak = {"k": pk.k, "exact": pk.exact, "power": pk.power, "snr": pk.snr}
+        entry = {
+            "name": report.representation,
+            "d": report.d,
+            "total": report.total,
+            "mean_noise": report.mean_noise,
+            "peak": peak,
+            "theorem_checks": {
+                "total_spectrum": {
+                    "expected": total.expected,
+                    "measured": total.measured,
+                    "pass": total.passed(),
+                },
+                "snr_ratio": ratio,
+            },
+        }
+        analyses.append((entry, report))
+        passed.append(total.passed() and ratio["pass"])
+
+    notes = [_TOTALS_NOTE]
+    if args.period > seq.m:
+        notes.append(f"period {args.period} exceeds sequence length {seq.m}; no peak bin")
+    return seq, label, analyses, notes, 0 if all(passed) else 1
+
+
+def _input_line(seq, label) -> str:
+    return f"input: {label}" + (f" (record {seq.id!r})" if seq.id else "")
+
+
+def _write_analysis_json(args, seq, label, notes, **fields) -> None:
+    """The JSON report of analyze or compare: the input fields, *fields* and the notes."""
+    head = {
+        "input": label,
+        "record": seq.id,
+        "m": seq.m,
+        "alphabet": str(seq.alphabet),
+        "period": args.period,
+    }
+    _write(args, _json_text({**head, **fields, "notes": notes}))
 
 
 # -- per-bin profiles --------------------------------------------------------
@@ -349,38 +366,16 @@ def _write_json_array(out, strings: list[str]) -> None:
 
 def cmd_analyze(args) -> int:
     _check_period(args)
-    seq, label = _load_single(args)
-    ind = build_indicators(seq)
-    base = spectral.spectrum_base(ind)
-    rep_names = args.reps or ["base"]
-    entries = []
-    reports = []
-    for rep_name in rep_names:
-        rep = _resolve_rep(rep_name, seq.alphabet)
-        entry, report = _analysis_entry(ind, rep, args.period, base)
-        entries.append(entry)
-        reports.append(report)
-
-    notes = [_TOTALS_NOTE]
-    if args.period > seq.m:
-        notes.append(f"period {args.period} exceeds sequence length {seq.m}; no peak bin")
+    seq, label, analyses, notes, status = _analyses(args, args.reps or ["base"])
+    entries = [entry for entry, _ in analyses]
 
     if args.format == "json":
-        obj = {
-            "input": label,
-            "record": seq.id,
-            "m": seq.m,
-            "alphabet": str(seq.alphabet),
-            "period": args.period,
-            "representations": entries,
-            "notes": notes,
-        }
-        _write(args, _json_text(obj))
+        _write_analysis_json(args, seq, label, notes, representations=entries)
     elif args.format == "csv":
-        _write_profile_csv(args, [(e["name"], r) for e, r in zip(entries, reports)], True)
+        _write_profile_csv(args, [(e["name"], r) for e, r in analyses], True)
     else:
         lines = [
-            f"input: {label}" + (f" (record {seq.id!r})" if seq.id else ""),
+            _input_line(seq, label),
             f"m = {seq.m}   alphabet = {seq.alphabet} (T = {seq.alphabet.size})   period = {args.period}",
             "",
         ]
@@ -413,8 +408,7 @@ def cmd_analyze(args) -> int:
             lines.append("")
         lines.extend(f"note: {note}" for note in notes)
         _write(args, "\n".join(lines))
-
-    return 0 if all(_entry_checks_pass(e) for e in entries) else 1
+    return status
 
 
 # -- compare -----------------------------------------------------------------
@@ -422,113 +416,69 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_period(args)
-    seq, label = _load_single(args)
     rep_names = args.reps or []
     if len(rep_names) < 2:
         raise ValueError("compare needs at least two --rep selections")
-    ind = build_indicators(seq)
-    base = spectral.spectrum_base(ind)
-    entries = []
-    reports = []
-    for rep_name in rep_names:
-        rep = _resolve_rep(rep_name, seq.alphabet)
-        entry, report = _analysis_entry(ind, rep, args.period, base)
-        entries.append(entry)
-        reports.append(report)
+    seq, label, analyses, notes, status = _analyses(args, rep_names)
 
-    T = seq.alphabet.size
-    amplification = [1.0 if e["d"] is None else T / (T - 1.0) for e in entries]
-    ref = entries[0]
-    peak_k = ref["peak"]["k"] if ref["peak"] else None
-
-    ratios = []
-    for idx, entry in enumerate(entries[1:], start=1):
-        theoretical = amplification[idx] / amplification[0]
-        if peak_k is None or ref["peak"]["snr"] <= spectral.BASE_SNR_FLOOR:
-            measured = None
-        else:
-            measured = entry["peak"]["snr"] / ref["peak"]["snr"]
-        ratios.append(
+    methods = []
+    for entry, _ in analyses:
+        peak = entry["peak"] or dict.fromkeys(("power", "snr", "k", "exact"))
+        methods.append(
             {
                 "method": entry["name"],
-                "reference": ref["name"],
+                "length": seq.m,
+                "total_spectra": entry["total"],
+                "mean_noise": entry["mean_noise"],
+                "periodicity_power": peak["power"],
+                "periodicity_snr": peak["snr"],
+                "peak_k": peak["k"],
+                "peak_exact": peak["exact"],
+            }
+        )
+    # SNR amplification over the base: the expected SNR ratio, 1 for the base itself.
+    amplification = [entry["theorem_checks"]["snr_ratio"]["expected"] for entry, _ in analyses]
+    ref = methods[0]
+    ref_snr = ref["periodicity_snr"]
+    ratios = []
+    for method, amp in zip(methods[1:], amplification[1:]):
+        if ref_snr is None or ref_snr <= spectral.BASE_SNR_FLOOR:
+            measured = None
+        else:
+            measured = method["periodicity_snr"] / ref_snr
+        ratios.append(
+            {
+                "method": method["method"],
+                "reference": ref["method"],
                 "measured": measured,
-                "theoretical": theoretical,
+                "theoretical": amp / amplification[0],
                 "indeterminate": measured is None,
             }
         )
 
-    notes = [_TOTALS_NOTE]
-    if peak_k is None:
-        notes.append(f"period {args.period} exceeds sequence length {seq.m}; no peak bin")
-
-    def peak_cell(entry, field):
-        return entry["peak"][field] if entry["peak"] else None
-
     if args.format == "json":
-        obj = {
-            "input": label,
-            "record": seq.id,
-            "m": seq.m,
-            "alphabet": str(seq.alphabet),
-            "period": args.period,
-            "methods": [
-                {
-                    "method": e["name"],
-                    "length": seq.m,
-                    "total_spectra": e["total"],
-                    "mean_noise": e["mean_noise"],
-                    "periodicity_power": peak_cell(e, "power"),
-                    "periodicity_snr": peak_cell(e, "snr"),
-                    "peak_k": peak_cell(e, "k"),
-                    "peak_exact": peak_cell(e, "exact"),
-                }
-                for e in entries
-            ],
-            "ratios": ratios,
-            "notes": notes,
-        }
-        _write(args, _json_text(obj))
+        _write_analysis_json(args, seq, label, notes, methods=methods, ratios=ratios)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["method", "length", "total_spectra", "mean_noise",
-             "periodicity_power", "periodicity_snr",
-             "snr_ratio_measured", "snr_ratio_theoretical"]
-        )
-        for idx, entry in enumerate(entries):
-            r = ratios[idx - 1] if idx >= 1 else None
-            writer.writerow(
-                [
-                    entry["name"], seq.m, entry["total"], entry["mean_noise"],
-                    peak_cell(entry, "power"), peak_cell(entry, "snr"),
-                    "" if r is None or r["measured"] is None else r["measured"],
-                    "" if r is None else r["theoretical"],
-                ]
-            )
+        keys = ["method", "length", "total_spectra", "mean_noise", "periodicity_power", "periodicity_snr"]
+        writer.writerow(keys + ["snr_ratio_measured", "snr_ratio_theoretical"])
+        # csv.writer writes None as an empty cell; the reference row has no ratio.
+        for method, r in zip(methods, [{}] + ratios):
+            writer.writerow([method[key] for key in keys] + [r.get("measured"), r.get("theoretical")])
         _write(args, buf.getvalue())
     else:
-        names = [e["name"] for e in entries]
-        def row(label_, cells):
-            return [label_] + cells
         table = [
-            row("Method", names),
-            row("Length", [str(seq.m)] * len(entries)),
-            row("Total Spectra", [_fmt_power(e["total"]) for e in entries]),
-            row("Mean Noise", [_fmt_power(e["mean_noise"]) for e in entries]),
-            row(
-                f"{args.period}-Periodicity",
-                ["n/a" if e["peak"] is None else _fmt_power(e["peak"]["power"]) for e in entries],
-            ),
-            row("SNR", ["n/a" if e["peak"] is None else _fmt_snr(e["peak"]["snr"]) for e in entries]),
+            ["Method"] + [m["method"] for m in methods],
+            ["Length"] + [str(m["length"]) for m in methods],
+            ["Total Spectra"] + [_fmt_power(m["total_spectra"]) for m in methods],
+            ["Mean Noise"] + [_fmt_power(m["mean_noise"]) for m in methods],
+            [f"{args.period}-Periodicity"]
+            + ["n/a" if m["peak_k"] is None else _fmt_power(m["periodicity_power"]) for m in methods],
+            ["SNR"] + ["n/a" if m["peak_k"] is None else _fmt_snr(m["periodicity_snr"]) for m in methods],
         ]
         widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
-        lines = [
-            f"input: {label}" + (f" (record {seq.id!r})" if seq.id else "")
-            + f"   alphabet = {seq.alphabet} (T = {T})",
-            "",
-        ]
+        lines = [_input_line(seq, label) + f"   alphabet = {seq.alphabet} (T = {seq.alphabet.size})", ""]
         lines.extend(
             "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table
         )
@@ -543,14 +493,15 @@ def cmd_compare(args) -> int:
                              f"   theoretical {_fmt_snr(r['theoretical'])}")
         lines.extend(f"note: {note}" for note in notes)
         _write(args, "\n".join(lines))
-
-    return 0 if all(_entry_checks_pass(e) for e in entries) else 1
+    return status
 
 
 # -- verify ------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
+    if args.format == "csv":
+        raise ValueError("verify supports --format text or json")
     tol = spectral.IDENTITY_RTOL
     if args.random is not None:
         if args.random < 1:
@@ -579,43 +530,35 @@ def cmd_verify(args) -> int:
     reps = [(name, _resolve_rep(name, alphabet)) for name in rep_names]
 
     results = []
-    all_pass = True
     for i, seq in enumerate(seqs):
         ind = build_indicators(seq)
         base = spectral.spectrum_base(ind)
         tot = spectral.verify_total_spectrum(ind, report=base)
-        seq_result = {
-            "id": seq.id or f"record-{i:03d}",
-            "m": seq.m,
-            "total_spectrum": {
-                "expected": tot.expected,
-                "measured": tot.measured,
-                "relative_error": tot.relative_error,
-                "pass": tot.passed(),
-            },
-            "snr_ratio": [],
-        }
-        all_pass = all_pass and tot.passed()
-        for name, rep in reps:
-            rc = spectral.snr_ratio_check(ind, rep, base=base)
-            seq_result["snr_ratio"].append(
-                {
-                    "representation": name,
-                    "expected": rc.expected,
-                    "max_dev": None if rc.vacuous else rc.max_deviation,
-                    "checked_bins": rc.checked_bins,
-                    "skipped_bins": rc.skipped_bins,
-                    "vacuous": rc.vacuous,
-                    "pass": rc.passed(),
-                }
-            )
-            all_pass = all_pass and rc.passed()
-        results.append(seq_result)
+        results.append(
+            {
+                "id": seq.id or f"record-{i:03d}",
+                "m": seq.m,
+                "total_spectrum": {
+                    "expected": tot.expected,
+                    "measured": tot.measured,
+                    "relative_error": tot.relative_error,
+                    "pass": tot.passed(),
+                },
+                "snr_ratio": [
+                    {
+                        "representation": name,
+                        **_ratio_fields(spectral.snr_ratio_check(ind, rep, base=base)),
+                    }
+                    for name, rep in reps
+                ],
+            }
+        )
 
     n_pass = sum(
         1 for r in results
         if r["total_spectrum"]["pass"] and all(s["pass"] for s in r["snr_ratio"])
     )
+    all_pass = n_pass == len(results)
 
     if args.format == "json":
         obj = {
@@ -635,8 +578,6 @@ def cmd_verify(args) -> int:
         else:
             obj["input"] = label
         _write(args, _json_text(obj))
-    elif args.format == "csv":
-        raise ValueError("verify supports --format text or json")
     else:
         lines = []
         if args.random is not None:

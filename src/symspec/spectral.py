@@ -16,9 +16,10 @@ spectrum away from k = 0:
     total_rep  = d^2 (T-1)/T m^2          exact identity
     SNR_rep(k) = T/(T-1) SNR(k)           independent of d
 
-``snr_ratio_check`` and ``verify_total_spectrum`` measure those identities
-numerically; both accept reports the caller already holds, so a command
-computes each spectrum once.
+``verify_total_spectrum`` measures the total of a base or a transformed
+report against m^2 or d^2 (T-1)/T m^2, and ``snr_ratio_check`` the SNR
+ratio; both accept reports the caller already holds, so a command computes
+each spectrum once.
 
 Every representation is a table gathered at the sequence's codes (see
 symspec.representations): the identity for the indicator rows, the
@@ -209,7 +210,7 @@ def spectrum_transformed(sig: TransformedSignal) -> SpectrumReport:
 
 @dataclass(frozen=True)
 class TotalSpectrumCheck:
-    """Measured total base spectrum against the exact m^2 identity."""
+    """Measured total spectrum against its exact identity value."""
 
     expected: float
     measured: float
@@ -230,16 +231,18 @@ def _require_match(report: SpectrumReport, ind: IndicatorMatrix, role: str) -> N
 def verify_total_spectrum(
     ind: IndicatorMatrix, *, report: SpectrumReport | None = None
 ) -> TotalSpectrumCheck:
-    """Check sum_k sum_t |U_t(k)|^2 = m^2 on the given indicators.
+    """Check the total spectrum of *ind*: m^2 for the base representation,
+    d^2 (T-1)/T m^2 for a transform with row norm d.
 
-    Pass *report*, the ``spectrum_base`` of *ind*, to reuse it instead of
-    computing it again.
+    Pass *report*, the ``spectrum_base`` of *ind* or a ``spectrum_transformed``
+    of it, to check that one instead of computing the base spectrum.
     """
     if report is None:
         report = spectrum_base(ind)
     else:
-        _require_match(report, ind, "base")
-    expected = float(ind.m) ** 2
+        _require_match(report, ind, "base" if report.d is None else "transformed")
+    T = ind.alphabet.size
+    expected = float(ind.m) ** 2 if report.d is None else report.d**2 * (T - 1) / T * float(ind.m) ** 2
     return TotalSpectrumCheck(
         expected=expected,
         measured=report.total,

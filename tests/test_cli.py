@@ -187,6 +187,12 @@ class TestCompare:
         assert code == 2
         assert "at least two" in err
 
+    def test_too_few_representations_rejected_before_input_is_read(self, run):
+        code, out, err = run(["compare", "--rep", "base"], stdin_bytes=b"\xff\xfeACGT")
+        assert code == 2
+        assert out == ""
+        assert err == "symspec: error: compare needs at least two --rep selections\n"
+
     def test_csv_fields(self, run):
         code, out, _ = run(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
@@ -236,6 +242,12 @@ class TestVerify:
         code, _, err = run(["verify", "--random", "1", "--format", "csv"])
         assert code == 2
         assert "text or json" in err
+
+    def test_csv_format_rejected_before_input_is_read(self, run):
+        code, out, err = run(["verify", "--format", "csv"], stdin_bytes=b"\xff\xfeACGT")
+        assert code == 2
+        assert out == ""
+        assert err == "symspec: error: verify supports --format text or json\n"
 
     def test_json_runs_are_identical(self, run):
         argv = ["verify", "--random", "4", "--seed", "7", "--format", "json"]

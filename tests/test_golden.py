@@ -13,6 +13,7 @@ and review the diff before committing it.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from symspec import build_zcurve, save_matrix, validate_row_orthogonal
-from symspec.cli import main
+from symspec.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
 INLINE_BYTES = 4096  # stdout up to this size is stored verbatim
@@ -52,6 +53,7 @@ INPUTS = {
     "protein-501": _fasta("protein-501", _random_body(PROTEIN, 501, 501)),
     "periodic-1200": _fasta("periodic-1200", _near_periodic()),
     "dna-100000": _fasta("dna-100000", _random_body(DNA, 100_000, 100_000)),
+    "single-9": _fasta("single-9", "A" * 9),
 }
 
 # Matrix files whose names need CSV quoting: empty, and with a comma and a quote.
@@ -94,6 +96,22 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
             add(f"dna-5/compare-matrix-{key}/{fmt}", "dna-5",
                 ["compare", *al, "--rep", "base", "--rep", f"file:{key}"])
             add(f"dna-5/spectrum-matrix-{key}/{fmt}", "dna-5", ["spectrum", *al, "--rep", f"file:{key}"])
+        al = ["--alphabet", DNA, "--format", fmt]
+        # A transform as the reference, and a matrix file as the reference.
+        add(f"periodic-1200/compare-zcurve-first/{fmt}", "periodic-1200",
+            ["compare", *al, "--rep", "zcurve", "--rep", "base", "--rep", "helmert"])
+        add(f"periodic-1200/compare-matrix-first/{fmt}", "periodic-1200",
+            ["compare", *al, "--rep", "file:quoted", "--rep", "base", "--rep", "zcurve"])
+        # One symbol: every non-zero bin is empty, so ratios are indeterminate and checks vacuous.
+        add(f"single-9/analyze/{fmt}", "single-9",
+            ["analyze", *al, "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert"])
+        add(f"single-9/compare/{fmt}", "single-9",
+            ["compare", *al, "--rep", "base", "--rep", "zcurve", "--rep", "helmert"])
+    for command in ("analyze", "compare", "spectrum"):
+        reps = ["--rep", "base"] + (["--rep", "zcurve"] if command == "compare" else [])
+        for period in ("1", "0"):
+            add(f"dna-5/{command}-period-{period}/text", "dna-5",
+                [command, "--alphabet", DNA, *reps, "--period", period])
     add("dna-1/analyze-auto/text", "dna-1", ["analyze"])
     add("dna-5/period-8/text", "dna-5", ["analyze", "--alphabet", DNA, "--period", "8"])
     add("dna-5/unknown-rep/csv", "dna-5", ["spectrum", "--rep", "nope", "--format", "csv"])
@@ -164,6 +182,21 @@ def matrices(tmp_path_factory):
 
 def test_fixture_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def test_every_command_and_format_has_a_case():
+    """A subcommand or --format choice that build_parser() adds must be pinned here."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    needed = {
+        (name, fmt)
+        for name, sub in commands.choices.items()
+        for action in sub._actions if action.dest == "format"
+        for fmt in action.choices
+    }
+    parsed = (parser.parse_args(argv) for _, argv in CASES.values())
+    covered = {(args.command, args.format) for args in parsed}
+    assert needed and needed <= covered, sorted(needed - covered)
 
 
 @pytest.mark.parametrize("cid", list(CASES))

@@ -352,6 +352,33 @@ class TestTotalSpectrum:
         assert check.expected == 1.0e6
         assert check.relative_error < TOL
 
+    @pytest.mark.parametrize("alphabet, rep", [
+        (DNA, build_zcurve()),
+        (DNA, build_tetrahedron()),
+        (DNA, build_helmert(4)),
+        (PROTEIN, build_helmert(20)),
+        (DNA, validate_row_orthogonal(3 * build_helmert(4).rows, name="helmert x 3")),
+    ], ids=["zcurve", "tetrahedron", "helmert-4", "helmert-20", "matrix-d3"])
+    def test_transformed_report_checks_its_own_identity(self, alphabet, rep):
+        ind = build_indicators(random_sequence(alphabet, 523, np.random.default_rng(523)))
+        report = spectrum_transformed(apply_representation(ind, rep))
+        check = verify_total_spectrum(ind, report=report)
+        T = alphabet.size
+        assert check.expected == report.d**2 * (T - 1) / T * float(ind.m) ** 2
+        assert check.measured == report.total
+        assert check.passed()
+        assert check.relative_error < TOL
+
+    def test_mismatched_transformed_report_is_named(self):
+        ind = build_indicators(random_sequence(DNA, 300, np.random.default_rng(3)))
+        for other in (
+            build_indicators(random_sequence(DNA, 301, np.random.default_rng(4))),
+            build_indicators(random_sequence(PROTEIN, 300, np.random.default_rng(5))),
+        ):
+            report = spectrum_transformed(apply_representation(other, build_helmert(other.alphabet.size)))
+            with pytest.raises(ValueError, match="transformed report"):
+                verify_total_spectrum(ind, report=report)
+
     def test_per_channel_energy_mirrors_counts(self):
         seq = random_sequence(DNA, 777, np.random.default_rng(77))
         ind = build_indicators(seq)
