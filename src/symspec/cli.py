@@ -6,7 +6,8 @@ or seeded random sequences), spectrum (plot-ready per-bin CSV).
 
 Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
 column and written in blocks of rows, never as one string; their bytes are
-those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``.
+those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
+k = 1 .. m//2 of each column are formatted and the strings mirrored.
 """
 from __future__ import annotations
 
@@ -59,43 +60,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
+    def add_command(name: str, help_: str, period: bool = True) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_)
         sp.add_argument(
-            "--input", "-i", metavar="PATH|-", default="-",
+            "--input", "-i", metavar="PATH|-",
             help="FASTA or plain-text sequence file; '-' reads stdin (default)",
         )
         sp.add_argument(
-            "--alphabet", metavar="STR|auto", default="auto",
-            help="explicit ordered symbols (e.g. ACGT) or 'auto' to infer",
+            "--alphabet", metavar="STR|auto",
+            help="explicit ordered symbols (e.g. ACGT) or 'auto' to infer (default)",
         )
         sp.add_argument(
             "--rep", action="append", dest="reps", metavar="NAME",
             help="base|zcurve|tetrahedron|helmert|file:PATH (repeatable)",
         )
-        sp.add_argument(
-            "--period", type=int, default=3, metavar="N",
-            help="periodicity of interest (default 3)",
-        )
+        if period:
+            sp.add_argument("--period", type=int, default=3, metavar="N", help="periodicity (default 3)")
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--output", "-o", metavar="PATH|-", default="-")
+        return sp
 
-    sp = sub.add_parser("analyze", help="spectrum summary and identity checks per representation")
-    add_common(sp)
-    sp = sub.add_parser("compare", help="side-by-side table for two or more representations")
-    add_common(sp)
-    sp = sub.add_parser("verify", help="check the spectral identities on input or random sequences")
-    add_common(sp)
+    add_command("analyze", "spectrum summary and identity checks per representation")
+    add_command("compare", "side-by-side table for two or more representations")
+    sp = add_command("verify", "check the spectral identities on input or random sequences", period=False)
     sp.add_argument(
-        "--random", type=int, default=None, metavar="N",
+        "--random", type=int, metavar="N",
         help=f"verify N seeded random sequences (m in {list(_RANDOM_M_RANGE)}) instead of reading input",
     )
-    sp.add_argument("--seed", type=int, default=0, metavar="S")
+    sp.add_argument("--seed", type=int, metavar="S", help="seed for --random (default 0)")
     sp.add_argument(
-        "--alphabet-size", type=int, default=4, metavar="T", dest="alphabet_size",
-        help="alphabet size for --random (4 = DNA, 20 = amino acids)",
+        "--alphabet-size", type=int, metavar="T", dest="alphabet_size",
+        help="alphabet size for --random (default 4 = DNA; 20 = amino acids)",
     )
-    sp = sub.add_parser("spectrum", help="plot-ready CSV of the power/SNR profile")
-    add_common(sp)
+    add_command("spectrum", "plot-ready CSV of the power/SNR profile")
     return parser
 
 
@@ -161,7 +158,7 @@ def _read_input(args) -> tuple[str, str]:
 
 def _load_many(args) -> tuple[list[SymbolicSequence], str]:
     text, label = _read_input(args)
-    alphabet = None if args.alphabet == "auto" else Alphabet(tuple(args.alphabet.upper()))
+    alphabet = None if args.alphabet in (None, "auto") else Alphabet(tuple(args.alphabet.upper()))
     try:
         seqs = parse_fasta(text, alphabet)
     except SequenceError as exc:
@@ -281,20 +278,18 @@ def _write_analysis_json(args, seq, label, notes, **fields) -> None:
 def _float_strings(values: np.ndarray, for_json: bool = False) -> list[str]:
     """``repr`` of each value, as csv.writer and json.dumps write finite floats.
 
-    A column that reads the same both ways bit for bit, as power[1:] and snr
-    do (P(k) = P(m - k), see ``spectral._power``), is formatted for its first
-    half only and the strings are mirrored. json.dumps spells non-finite
-    values NaN, Infinity and -Infinity, so a JSON column holding any is
-    formatted by json.dumps itself.
+    json.dumps spells non-finite values NaN, Infinity and -Infinity, so a
+    JSON column holding any is formatted by json.dumps itself.
     """
-    values = np.asarray(values, dtype=np.float64)
     fmt = json.dumps if for_json and not np.isfinite(values).all() else float.__repr__
-    n = values.size
-    bits = values.view(np.uint64)
-    if n > 1 and np.array_equal(bits, bits[::-1]):
-        head = list(map(fmt, values[: (n + 1) // 2].tolist()))
-        return head + head[n // 2 - 1 :: -1]
     return list(map(fmt, values.tolist()))
+
+
+def _profile_strings(half: np.ndarray, m: int, for_json: bool = False) -> list[str]:
+    """A profile column, k = 1 .. m-1, from its bins 0 .. m//2: bins 1 .. m//2
+    are formatted and the strings mirrored, as ``SpectrumReport.power`` is."""
+    head = _float_strings(half[1:], for_json)
+    return head + head[: (m - 1) // 2][::-1]
 
 
 def _csv_cell(text: str) -> str:
@@ -320,7 +315,8 @@ def _write_profile_csv(args, named_reports, with_rep_column: bool) -> None:
     with _output(args) as out:
         out.write("representation," + header if with_rep_column else header)
         for name, report in named_reports:
-            columns = [k_freq, _float_strings(report.power[1:]), _float_strings(report.snr)]
+            half_snr = report.half_power / report.mean_noise
+            columns = [k_freq, _profile_strings(report.half_power, m), _profile_strings(half_snr, m)]
             if with_rep_column:
                 columns.insert(0, [_csv_cell(name)] * (m - 1))
             for block in _blocks(map(",".join, zip(*columns))):
@@ -336,8 +332,8 @@ def _write_profile_json(args, fields: dict, report) -> None:
     arrays = {
         "k": lambda: list(map(str, range(1, m))),
         "frequency": lambda: _float_strings(np.arange(1, m) / m),
-        "power": lambda: _float_strings(report.power[1:], for_json=True),
-        "snr": lambda: _float_strings(report.snr, for_json=True),
+        "power": lambda: _profile_strings(report.half_power, m, for_json=True),
+        "snr": lambda: _profile_strings(report.half_power / report.mean_noise, m, for_json=True),
     }
     with _output(args) as out:
         for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
@@ -502,12 +498,17 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     if args.format == "csv":
         raise ValueError("verify supports --format text or json")
+    if args.random is None and (args.seed, args.alphabet_size) != (None, None):
+        raise ValueError("--seed and --alphabet-size apply only with --random")
+    if args.random is not None and (args.input, args.alphabet) != (None, None):
+        raise ValueError("--random makes its own sequences; it takes no --input or --alphabet")
     tol = spectral.IDENTITY_RTOL
+    seed = 0 if args.seed is None else args.seed
     if args.random is not None:
         if args.random < 1:
             raise ValueError(f"--random needs a positive count, got {args.random}")
-        alphabet = default_alphabet(args.alphabet_size)
-        rng = np.random.default_rng(args.seed)
+        alphabet = default_alphabet(4 if args.alphabet_size is None else args.alphabet_size)
+        rng = np.random.default_rng(seed)
         lo, hi = _RANDOM_M_RANGE
         seqs = [
             random_sequence(alphabet, int(rng.integers(lo, hi + 1)), rng, id=f"random-{i:03d}")
@@ -573,7 +574,7 @@ def cmd_verify(args) -> int:
             "all_pass": all_pass,
         }
         if args.random is not None:
-            obj["seed"] = args.seed
+            obj["seed"] = seed
             obj["m_range"] = list(_RANDOM_M_RANGE)
         else:
             obj["input"] = label
@@ -581,10 +582,9 @@ def cmd_verify(args) -> int:
     else:
         lines = []
         if args.random is not None:
-            lo, hi = _RANDOM_M_RANGE
             lines.append(
                 f"verify: {len(seqs)} random sequences over {alphabet} "
-                f"(T = {alphabet.size}), seed = {args.seed}, m in [{lo}, {hi}]"
+                f"(T = {alphabet.size}), seed = {seed}, m in [{lo}, {hi}]"
             )
         else:
             lines.append(

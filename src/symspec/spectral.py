@@ -26,15 +26,18 @@ symspec.representations): the identity for the indicator rows, the
 transform in alphabet column order for the channels. Base and transformed
 reports take their power from one kernel, ``_power(table, codes)``, which
 gathers a few rows of ``table[:, codes]`` at a time and runs a real-input
-FFT on them, using P(k) = P(m - k) to transform only half the bins; no
-dense T x m array is ever held. ``dft_naive`` is the O(m^2)
-direct-summation reference that ``_power`` and the public complex-input
-``dft_fast`` are both tested against, bin for bin.
+FFT on them; no dense T x m array is ever held. Real rows give P(k) =
+P(m - k) exactly, so a report stores bins k = 0 .. m//2 only: its ``power``
+and ``snr`` are mirrored from them on first access, and the checks and
+lookups here read the half. ``dft_naive`` is the O(m^2) direct-summation
+reference that reports' power and the public complex-input ``dft_fast``
+are both tested against, bin for bin.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +99,8 @@ def dft_fast(x) -> np.ndarray:
 class SpectrumReport:
     """Per-frequency power, its total and average, and the SNR profile.
 
+    Only ``half_power``, bins k = 0 .. m//2, is stored; ``power`` (k = 0 ..
+    m-1) and ``snr`` are mirrored from it on first access, read-only.
     ``snr[i]`` is the ratio at frequency bin k = i + 1; the trivial k = 0
     bin is excluded from the profile but counted in ``mean_noise``.
     ``d`` is None for the base representation.
@@ -105,20 +110,26 @@ class SpectrumReport:
     m: int
     alphabet_size: int
     d: float | None
-    power: np.ndarray
+    half_power: np.ndarray
     total: float
     mean_noise: float
-    snr: np.ndarray
 
     def __post_init__(self):
-        for name in ("power", "snr"):
-            object.__setattr__(self, name, _read_only(getattr(self, name), np.float64))
+        object.__setattr__(self, "half_power", _read_only(self.half_power, np.float64))
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return _mirror(self.half_power, self.m)
+
+    @cached_property
+    def snr(self) -> np.ndarray:
+        return _mirror(self.half_power / self.mean_noise, self.m)[1:]
 
     def snr_at(self, k: int) -> float:
         """SNR at frequency bin k, 1 <= k <= m-1."""
         if not 1 <= k <= self.m - 1:
             raise ValueError(f"k must be in 1..{self.m - 1}, got {k}")
-        return float(self.snr[k - 1])
+        return float(self.half_power[min(k, self.m - k)] / self.mean_noise)
 
     def __repr__(self) -> str:
         return (
@@ -127,8 +138,17 @@ class SpectrumReport:
         )
 
 
+def _mirror(half: np.ndarray, m: int) -> np.ndarray:
+    """Bins k = 0 .. m-1, read-only, from bins 0 .. m//2: bin k > m//2 is bin m - k."""
+    full = np.empty(m)
+    full[: half.size] = half
+    full[half.size :] = half[m - half.size : 0 : -1]
+    full.setflags(write=False)
+    return full
+
+
 def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Summed power spectrum sum_l |DFT(table[l, codes])(k)|^2, k = 0 .. m-1.
+    """Summed power spectrum sum_l |DFT(table[l, codes])(k)|^2 at k = 0 .. m//2.
 
     Row l of the signal is table row l gathered at the codes: the identity
     table gives the indicator rows, a transform's table (columns in alphabet
@@ -138,16 +158,11 @@ def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     dense rows are never held.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
-    power and the rest is mirrored: P(k) = P(m - k). Row powers are summed
-    in blocks of about _BLOCK_BINS half-spectrum bins, row after row within
-    a block, and each block's sum is added into the total. That order does
-    not depend on the batches, so the power is bit for bit the same as that
-    of one rfft over each whole block of dense rows.
-
-    The mirror is a copy, so P(k) == P(m - k) holds exactly, bit for bit, and
-    so does snr[k - 1] == snr[m - k - 1]. The CLI's profile renderers rely
-    on it: they format half of each column and mirror the strings (after
-    checking the column reads the same both ways).
+    power: P(k) = P(m - k) for the rest. Row powers are summed in blocks of
+    about _BLOCK_BINS half-spectrum bins, row after row within a block, and
+    each block's sum is added into the total. That order does not depend on
+    the batches, so the power is bit for bit the same as that of one rfft
+    over each whole block of dense rows.
     """
     n_rows, m = table.shape[0], codes.size
     half = np.zeros(m // 2 + 1)
@@ -164,29 +179,23 @@ def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
             block = power.sum(axis=0)
             del spectra, power  # before the next batch is gathered
         half += block
-    full = np.empty(m)
-    full[: half.size] = half
-    full[half.size :] = half[m - half.size : 0 : -1]
-    return full
+    return half
 
 
 def _report(name: str, size: int, d: float | None, table: np.ndarray, codes: np.ndarray) -> SpectrumReport:
-    power = _power(table, codes)
-    total = float(np.sum(power))
+    half_power = _power(table, codes)
+    half_power.setflags(write=False)  # kept by the report as it is
     m = codes.size
-    mean_noise = total / m
-    snr = power[1:] / mean_noise
-    for arr in (power, snr):
-        arr.setflags(write=False)  # kept by the report as they are
+    # Summed over all m bins: a weighted sum of the half changes the last bits.
+    total = float(np.sum(_mirror(half_power, m)))
     return SpectrumReport(
         representation=name,
         m=m,
         alphabet_size=size,
         d=d,
-        power=power,
+        half_power=half_power,
         total=total,
-        mean_noise=mean_noise,
-        snr=snr,
+        mean_noise=total / m,
     )
 
 
@@ -301,20 +310,21 @@ def snr_ratio_check(
         transformed = spectrum_transformed(apply_representation(ind, rep))
     else:
         _require_match(transformed, ind, "transformed")
-    T = ind.alphabet.size
+    T, m = ind.alphabet.size, ind.m
     expected = T / (T - 1.0)
-    ratios = np.full(ind.m - 1, np.nan)
-    mask = base.snr > BASE_SNR_FLOOR
-    ratios[mask] = transformed.snr[mask] / base.snr[mask]
-    checked = int(np.count_nonzero(mask))
-    max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
-    ratios.setflags(write=False)
+    base_snr = base.half_power / base.mean_noise
+    mask = base_snr > BASE_SNR_FLOOR
+    mask[0] = False  # k = 0 has no SNR; bin k < m/2 is counted for m - k too
+    half = np.full(mask.size, np.nan)
+    half[mask] = (transformed.half_power[mask] / transformed.mean_noise) / base_snr[mask]
+    checked = 2 * int(np.count_nonzero(mask)) - int(m % 2 == 0 and mask[-1])
+    max_dev = float(np.max(np.abs(half[mask] - expected))) if checked else math.nan
     return RatioCheck(
         expected=expected,
-        ratios=ratios,
+        ratios=_mirror(half, m)[1:],
         max_deviation=max_dev,
         checked_bins=checked,
-        skipped_bins=int(ind.m - 1 - checked),
+        skipped_bins=m - 1 - checked,
     )
 
 
@@ -346,6 +356,6 @@ def periodicity_query(report: SpectrumReport, period: int) -> PeriodicityPeak:
         period=period,
         k=k,
         exact=exact,
-        power=float(report.power[k]),
+        power=float(report.half_power[min(k, report.m - k)]),
         snr=report.snr_at(k),
     )

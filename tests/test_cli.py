@@ -256,6 +256,22 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_has_no_period_option(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--random", "1", "--period", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --period 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "3"], "--seed and --alphabet-size apply only with --random"),
+        (["--alphabet-size", "20"], "--seed and --alphabet-size apply only with --random"),
+        (["--random", "1", "--input", "-"], "--random makes its own sequences; it takes no --input or --alphabet"),
+        (["--random", "1", "--alphabet", "auto"], "--random makes its own sequences; it takes no --input or --alphabet"),
+    ])
+    def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, run, flags, message):
+        code, out, err = run(["verify", *flags], stdin_bytes=b"\xff\xfeACGT")
+        assert (code, out, err) == (2, "", f"symspec: error: {message}\n")
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_rejects_nonpositive_random_count(self, run, count):
         code, out, err = run(["verify", "--random", count], stdin_text=">x\nACGT\n")
@@ -384,28 +400,28 @@ class TestSpectrum:
         assert obj["power"] == [pytest.approx(4.0)] * 3
 
 
-def _report(power, snr, name="hand"):
-    power = np.asarray(power, dtype=float)
+def _report(half_power, m, mean_noise, name="hand"):
     return spectral.SpectrumReport(
-        representation=name, m=power.size, alphabet_size=4, d=None,
-        power=power, total=1.0, mean_noise=1.0, snr=snr,
+        representation=name, m=m, alphabet_size=4, d=None,
+        half_power=half_power, total=mean_noise * m, mean_noise=mean_noise,
     )
 
 
 class TestProfileRenderer:
-    """The columnar renderers against csv.writer and json.dumps, byte for byte."""
+    """The columnar renderers against csv.writer and json.dumps of the
+    report's power and snr, byte for byte. Each report is built from its
+    half spectrum (bins 0 .. m//2) and a mean noise."""
 
     REPORTS = {
-        # Non-palindromic, with every non-finite spelling.
-        "non-finite": ([9.0, 1.5, 2.25, math.nan, math.inf, -math.inf],
-                       [0.1, 1e-300, 1e16, -math.inf, math.nan]),
-        # Equal under == both ways, but not bit for bit: -0.0 must survive.
-        "signed-zero": ([4.0, 0.0, 5.0, -0.0], [-0.0, 1 / 3, 0.0]),
-        # Palindromic at odd and even length: formatted once, mirrored.
-        "odd": ([1.0, 0.1, 0.2, 0.3, 0.2, 0.1], [0.7, 1e-5, 2.5e20, 1e-5, 0.7]),
-        "even": ([1.0, 0.1, 1 / 3, 1 / 3, 0.1], [0.7, 0.2, 0.2, 0.7]),
-        "one-bin": ([1.0, 2.0], [3.0]),
-        "no-bins": ([1.0], []),
+        # Every non-finite spelling, in power and in snr.
+        "non-finite": ([9.0, 1e-300, 1e16, math.nan, math.inf, -math.inf], 10, 3.0),
+        # -0.0 must survive, at a mirrored bin and at the Nyquist bin.
+        "signed-zero": ([4.0, 0.0, -0.0, 5.0, -0.0], 8, 3.0),
+        # Odd and even m: bins 1 .. m//2 formatted once, mirrored.
+        "odd": ([1.0, 0.1, 0.2, 0.3], 7, 0.7),
+        "even": ([1.0, 0.1, 1 / 3, 2.5e20], 6, 1e-5),
+        "one-bin": ([1.0, 2.0], 2, 3.0),
+        "no-bins": ([1.0], 1, 1.0),
     }
 
     @staticmethod
@@ -416,14 +432,16 @@ class TestProfileRenderer:
     def test_csv_matches_csv_writer(self, key, tmp_path):
         # Names that csv.writer quotes, or leaves empty, inside a row.
         reports = [("a,\"b", _report(*self.REPORTS[key])), ("", _report(*self.REPORTS[key]))]
+        path = tmp_path / "out.csv"
+        _write_profile_csv(self._args(path), reports, True)
+        # The renderer reads the half spectrum only: no full-length copy is cached.
+        assert all(not {"power", "snr"} & vars(r).keys() for _, r in reports)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["representation", "k", "frequency", "power", "snr"])
         for name, r in reports:
             for k in range(1, r.m):
                 writer.writerow([name, k, k / r.m, float(r.power[k]), float(r.snr[k - 1])])
-        path = tmp_path / "out.csv"
-        _write_profile_csv(self._args(path), reports, True)
         assert path.read_bytes() == buf.getvalue().encode()
 
     @pytest.mark.parametrize("key", list(REPORTS))

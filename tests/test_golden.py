@@ -112,6 +112,14 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
         for period in ("1", "0"):
             add(f"dna-5/{command}-period-{period}/text", "dna-5",
                 [command, "--alphabet", DNA, *reps, "--period", period])
+    # verify takes --seed and --alphabet-size only with --random, which reads no input.
+    for key, flags in (
+        ("random-with-input", ["--random", "1", "--input", "/nonexistent"]),
+        ("random-with-alphabet", ["--random", "1", "--alphabet", "XYZ"]),
+        ("seed-without-random", ["--seed", "3"]),
+        ("alphabet-size-without-random", ["--alphabet-size", "20"]),
+    ):
+        add(f"dna-5/verify-{key}/text", "dna-5", ["verify", *flags])
     add("dna-1/analyze-auto/text", "dna-1", ["analyze"])
     add("dna-5/period-8/text", "dna-5", ["analyze", "--alphabet", DNA, "--period", "8"])
     add("dna-5/unknown-rep/csv", "dna-5", ["spectrum", "--rep", "nope", "--format", "csv"])

@@ -38,6 +38,11 @@ def dna(text):
     return sequence_from_string(text, DNA)
 
 
+def _bits(x):
+    """The IEEE bits of a float or of each float in an array."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 class TestDftNaive:
     def test_delta_input(self):
         np.testing.assert_allclose(dft_naive([1, 0, 0, 0]), np.ones(4), atol=1e-15)
@@ -103,9 +108,10 @@ class TestPowerKernel:
         naive = np.array([dft_naive(row) for row in ind.rows])
         sig = apply_representation(ind, build_helmert(size))
         # The DFT is linear, so the channels' spectra are the same mix of the rows'.
-        for table, spectra in ((ind.table, naive), (sig.table, sig.table @ naive)):
+        # Every bin k = 0 .. m-1 is checked, the mirrored half included.
+        for report, spectra in ((spectrum_base(ind), naive), (spectrum_transformed(sig), sig.table @ naive)):
             expected = np.sum(np.abs(spectra) ** 2, axis=0)
-            assert np.max(np.abs(spectral._power(table, ind.codes) - expected)) <= DFT_MATCH_TOL * m
+            assert np.max(np.abs(report.power - expected)) <= DFT_MATCH_TOL * m
 
     @pytest.mark.parametrize("size", [2, 4, 20])
     def test_every_length_up_to_64(self, size):
@@ -121,9 +127,9 @@ class TestPowerKernel:
         rng = np.random.default_rng(9)
         table, codes = rng.standard_normal((7, 5)), rng.integers(0, 5, 40)
         expected = np.sum(np.abs([dft_naive(row) for row in table[:, codes]]) ** 2, axis=0)
-        whole = spectral._power(table, codes)
+        whole = spectral._report("t", 5, None, table, codes).power
         monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 21 half bins: one row per block
-        forced = spectral._power(table, codes)
+        forced = spectral._report("t", 5, None, table, codes).power
         np.testing.assert_allclose(forced, whole, rtol=1e-12)
         assert np.max(np.abs(forced - expected)) <= DFT_MATCH_TOL * 40
 
@@ -142,9 +148,10 @@ class TestPowerKernel:
         monkeypatch.setattr(spectral, "_BLOCK_BINS", block_bins)
         rng = np.random.default_rng([block_bins, size, m])
         ind = build_indicators(random_sequence(default_alphabet(size), m, rng))
-        for sig in (ind, apply_representation(ind, build_helmert(size))):
-            got = spectral._power(sig.table, ind.codes)
-            want = _power_of_dense_rows(sig.rows if sig is ind else sig.channels)
+        sig = apply_representation(ind, build_helmert(size))
+        for report, rows in ((spectrum_base(ind), ind.rows), (spectrum_transformed(sig), sig.channels)):
+            got = report.power
+            want = _power_of_dense_rows(rows)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -192,6 +199,46 @@ class TestExactSymmetry:
             for col in (report.power[1:], report.snr):  # k = 1 .. m-1
                 assert np.array_equal(col, col[::-1])
                 assert np.array_equal(col.view(np.uint64), col[::-1].view(np.uint64))
+
+
+class TestHalfSpectrum:
+    """A report stores bins k = 0 .. m//2; power and snr are mirrored from
+    them on first access, and the checks and lookups read the half."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8])
+    def test_stores_only_the_half(self, m):
+        report = spectrum_base(build_indicators(random_sequence(DNA, m, np.random.default_rng(m))))
+        assert report.half_power.shape == (m // 2 + 1,)
+        assert not report.half_power.flags.writeable
+        assert not {"power", "snr"} & vars(report).keys()
+        assert report.power.shape == (m,) and report.snr.shape == (m - 1,)
+        assert report.power is report.power and report.snr is report.snr  # built once
+        assert not report.power.flags.writeable and not report.snr.flags.writeable
+        assert np.array_equal(_bits(report.power[: m // 2 + 1]), _bits(report.half_power))
+
+    def test_checks_and_lookups_keep_only_the_half_spectra(self):
+        """The calls the CLI makes on its reports keep 3 x 8 (m//2 + 1) bytes
+        for three reports, and never fill the power or snr caches."""
+        m = 200_000
+        ind = build_indicators(random_sequence(DNA, m, np.random.default_rng(200)))
+        reps = [build_zcurve(), build_helmert(4)]
+        sigs = [apply_representation(ind, rep) for rep in reps]
+        snr_ratio_check(ind, reps[0])  # numpy.fft and the rest are imported before tracing
+        tracemalloc.start()
+        try:
+            base = spectrum_base(ind)
+            reports = [base] + [spectrum_transformed(sig) for sig in sigs]
+            for rep, report in zip(reps, reports[1:]):
+                snr_ratio_check(ind, rep, base=base, transformed=report)
+            for report in reports:
+                verify_total_spectrum(ind, report=report)
+                periodicity_query(report, 3)
+                report.snr_at(m - 7)  # a bin on the mirrored side
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 3 * 8 * (m // 2 + 1) + 64 * 1024
+        assert all(not {"power", "snr"} & vars(r).keys() for r in reports)
 
 
 class TestSpectrumBase:
@@ -418,6 +465,24 @@ class TestProofIdentities:
 
 
 class TestPeriodicityQuery:
+    def test_bin_on_the_mirrored_side(self):
+        report = spectrum_base(build_indicators(dna("ACGTTGA")))
+        peak = periodicity_query(report, 2)
+        assert (peak.k, peak.exact) == (4, False)  # round(7 / 2) = 4 > m // 2
+        assert _bits(peak.power) == _bits(report.power[4])
+        assert _bits(peak.snr) == _bits(report.snr[3])
+
+    @pytest.mark.parametrize("m", [301, 302])
+    def test_every_bin_and_period_matches_the_full_arrays(self, m):
+        ind = build_indicators(random_sequence(DNA, m, np.random.default_rng(m)))
+        report = spectrum_transformed(apply_representation(ind, build_tetrahedron()))
+        for k in range(1, m):
+            assert _bits(report.snr_at(k)) == _bits(report.snr[k - 1])
+        for period in range(2, m + 1):
+            peak = periodicity_query(report, period)
+            assert _bits(peak.power) == _bits(report.power[peak.k])
+            assert _bits(peak.snr) == _bits(report.snr[peak.k - 1])
+
     def test_exact_division(self):
         seq = random_sequence(DNA, 1236, np.random.default_rng(12))
         report = spectrum_base(build_indicators(seq))
@@ -486,3 +551,40 @@ def test_snr_amplification_property(size, data):
     check = snr_ratio_check(build_indicators(seq), build_helmert(size))
     assert check.expected == pytest.approx(size / (size - 1))
     assert check.passed()
+
+
+def _full_array_ratio_check(ind, base, transformed):
+    """snr_ratio_check over the full snr arrays, k = 1 .. m-1: the reference
+    for the half-spectrum bookkeeping."""
+    T = ind.alphabet.size
+    expected = T / (T - 1.0)
+    ratios = np.full(ind.m - 1, np.nan)
+    mask = base.snr > spectral.BASE_SNR_FLOOR
+    ratios[mask] = transformed.snr[mask] / base.snr[mask]
+    checked = int(np.count_nonzero(mask))
+    max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
+    return ratios, max_dev, checked, ind.m - 1 - checked
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # None draws a random sequence; a unit repeated gives exactly-zero bins:
+    # "A" all but k = 0, "AC" all but k = 0 and the Nyquist bin at even m.
+    unit=st.sampled_from([None, "A", "AC", "ACGT"]),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    rep=st.sampled_from([build_zcurve(), build_tetrahedron(), build_helmert(4)]),
+)
+def test_ratio_check_over_half_bins_matches_full_arrays(unit, m, seed, rep):
+    if unit is None:
+        seq = random_sequence(DNA, m, np.random.default_rng(seed))
+    else:
+        seq = dna((unit * m)[:m])
+    ind = build_indicators(seq)
+    base = spectrum_base(ind)
+    transformed = spectrum_transformed(apply_representation(ind, rep))
+    check = snr_ratio_check(ind, rep, base=base, transformed=transformed)
+    ratios, max_dev, checked, skipped = _full_array_ratio_check(ind, base, transformed)
+    assert (check.checked_bins, check.skipped_bins) == (checked, skipped)
+    assert _bits(check.max_deviation) == _bits(max_dev)
+    assert np.array_equal(_bits(check.ratios), _bits(ratios))
