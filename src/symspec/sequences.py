@@ -201,31 +201,21 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
 def _records(text: str) -> list[tuple[str | None, str]]:
     """Split raw input into (id, body) pairs.
 
-    Input whose first non-blank line, after any ';' comment lines, starts
-    with '>' is FASTA; anything else is a single headerless record. In both,
-    lines starting with ';' are comments and are skipped.
+    A line whose first non-blank character is ';' is a comment and is
+    skipped; one whose first non-blank character is '>' is a header. Input
+    whose first non-blank line, after the comments, is a header is FASTA;
+    anything else is a single headerless record.
     """
-    head = text.lstrip()
-    while head.startswith(";"):
-        head = head.partition("\n")[2].lstrip()
-    lines = [line for line in text.splitlines() if not line.startswith(";")]
-    if not head.startswith(">"):
+    lines = [line for line in map(str.strip, text.splitlines()) if not line.startswith(";")]
+    if not next(filter(None, lines), "").startswith(">"):
         return [(None, "\n".join(lines))]
-    records: list[tuple[str | None, str]] = []
-    header: str | None = None
-    body: list[str] = []
-    started = False
+    records: list[tuple[str | None, list[str]]] = []
     for line in lines:
         if line.startswith(">"):
-            if started:
-                records.append((header, "".join(body)))
-            header = line[1:].strip() or None
-            body = []
-            started = True
-        elif started:
-            body.append(line)
-    records.append((header, "".join(body)))
-    return records
+            records.append((line[1:].strip() or None, []))
+        elif records:
+            records[-1][1].append(line)
+    return [(rid, "".join(body)) for rid, body in records]
 
 
 # Characters that mark FASTA headers and comments; never inferred as symbols.
@@ -259,8 +249,8 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
     distinct characters over all records, which must not include the
     markers '>' and ';'; otherwise every character must belong to the given
     alphabet. Whitespace and line wrapping inside record bodies are ignored
-    and case is folded to upper. Lines starting with ';' are comments, in
-    FASTA and in headerless input.
+    and case is folded to upper. Lines whose first non-blank character is
+    ';' are comments, in FASTA and in headerless input.
     """
     if not text.strip():
         raise SequenceError("no sequence records in input")

@@ -25,11 +25,13 @@ Every representation is a table gathered at the sequence's codes (see
 symspec.representations): the identity for the indicator rows, the
 transform in alphabet column order for the channels. Base and transformed
 reports take their power from one kernel, ``_power(table, codes)``, which
-gathers a few rows of ``table[:, codes]`` at a time and runs a real-input
-FFT on them; no dense T x m array is ever held. Real rows give P(k) =
-P(m - k) exactly, so a report stores bins k = 0 .. m//2 only: its ``power``
-and ``snr`` are mirrored from them on first access, and the checks and
-lookups here read the half. ``dft_naive`` is the O(m^2) direct-summation
+gathers a few rows of ``table[:, codes]`` at a time, runs a real-input
+FFT on them and adds each row's power into one running sum; no dense
+T x m array is ever held. Real rows give P(k) = P(m - k) exactly, so a
+report stores bins k = 0 .. m//2 only: its ``power`` and ``snr`` are
+mirrored from them on first access, and the checks and lookups here read
+the half. A ``RatioCheck`` likewise stores its ratios at k = 0 .. m//2 and
+mirrors ``ratios`` on access. ``dft_naive`` is the O(m^2) direct-summation
 reference that reports' power and the public complex-input ``dft_fast``
 are both tested against, bin for bin.
 """
@@ -65,7 +67,7 @@ IDENTITY_RTOL = 1e-9   # relative tolerance for the spectral identities
 DFT_MATCH_TOL = 1e-9   # per-bin fast-vs-naive tolerance (relative, floor 1e-9)
 BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 
-_BLOCK_BINS = 2**20  # complex rfft bins per block of rows summed by _power
+_BLOCK_BINS = 2**20  # samples (rows x m) per batch of rows gathered by _power
 
 
 def dft_naive(x) -> np.ndarray:
@@ -158,27 +160,20 @@ def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     dense rows are never held.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
-    power: P(k) = P(m - k) for the rest. Row powers are summed in blocks of
-    about _BLOCK_BINS half-spectrum bins, row after row within a block, and
-    each block's sum is added into the total. That order does not depend on
-    the batches, so the power is bit for bit the same as that of one rfft
-    over each whole block of dense rows.
+    power: P(k) = P(m - k) for the rest. Row powers go into one running sum,
+    row after row, so the power is bit for bit that of one rfft over all the
+    dense rows summed with ``sum(axis=0)``, whatever the batch size.
     """
-    n_rows, m = table.shape[0], codes.size
+    m = codes.size
     half = np.zeros(m // 2 + 1)
-    step = max(1, _BLOCK_BINS // half.size)  # rows per summed block
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        block = 0.0
-        for first in range(start, stop, batch):
-            spectra = np.fft.rfft(np.take(table[first : min(first + batch, stop)], codes, axis=1), axis=1)
-            power = spectra.real**2
-            power += spectra.imag**2
-            power[0] += block  # so the sum below continues the block's running sum
-            block = power.sum(axis=0)
-            del spectra, power  # before the next batch is gathered
-        half += block
+    for first in range(0, table.shape[0], batch):
+        spectra = np.fft.rfft(np.take(table[first : first + batch], codes, axis=1), axis=1)
+        power = spectra.real**2
+        power += spectra.imag**2
+        power[0] += half  # so the sum below continues the running sum
+        power.sum(axis=0, out=half)
+        del spectra, power  # before the next batch is gathered
     return half
 
 
@@ -263,19 +258,25 @@ def verify_total_spectrum(
 class RatioCheck:
     """Per-frequency transformed/base SNR ratios against T/(T-1).
 
-    ``ratios`` spans k = 1 .. m-1 with NaN at skipped bins (base SNR at or
-    below BASE_SNR_FLOOR). ``max_deviation`` is max |ratio - expected| over
-    the checked bins, NaN when every bin was skipped.
+    Only ``half_ratios``, bins k = 0 .. m//2, is stored, NaN at k = 0 and
+    at skipped bins (base SNR at or below BASE_SNR_FLOOR); ``ratios``
+    (k = 1 .. m-1) is mirrored from it on first access, read-only.
+    ``max_deviation`` is max |ratio - expected| over the checked bins, NaN
+    when every bin was skipped.
     """
 
     expected: float
-    ratios: np.ndarray
+    half_ratios: np.ndarray
     max_deviation: float
     checked_bins: int
     skipped_bins: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", _read_only(self.ratios, np.float64))
+        object.__setattr__(self, "half_ratios", _read_only(self.half_ratios, np.float64))
+
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        return _mirror(self.half_ratios, self.checked_bins + self.skipped_bins + 1)[1:]
 
     @property
     def vacuous(self) -> bool:
@@ -319,9 +320,10 @@ def snr_ratio_check(
     half[mask] = (transformed.half_power[mask] / transformed.mean_noise) / base_snr[mask]
     checked = 2 * int(np.count_nonzero(mask)) - int(m % 2 == 0 and mask[-1])
     max_dev = float(np.max(np.abs(half[mask] - expected))) if checked else math.nan
+    half.setflags(write=False)  # kept by the result as it is
     return RatioCheck(
         expected=expected,
-        ratios=_mirror(half, m)[1:],
+        half_ratios=half,
         max_deviation=max_dev,
         checked_bins=checked,
         skipped_bins=m - 1 - checked,

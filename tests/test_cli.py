@@ -311,6 +311,28 @@ class TestHeaderlessInput:
         )
 
 
+class TestIndentedMarkers:
+    """A line is a header or a comment when its first non-blank character
+    is '>' or ';', wherever it stands in the input."""
+
+    def test_indented_header_is_not_dropped(self, run):
+        # Regression: analyze reported record 'y' alone, with m = 2, and exit 0.
+        text = "\t>x\nACGTACGT\n>y\nGT\n"
+        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text=text)
+        assert (code, out) == (2, "")
+        assert err == "symspec: error: -: input has 2 records; this command analyzes exactly one\n"
+        code, out, err = run(["verify", "--alphabet", "ACGT", "--format", "json"], stdin_text=text)
+        assert code == 0, err
+        assert [(r["id"], r["m"]) for r in json.loads(out)["results"]] == [("x", 8), ("y", 2)]
+
+    @pytest.mark.parametrize("text", ["  >id\nACGT\n", "  ;c\n>id\nACGT\n"])
+    def test_indented_lines_read_as_unindented(self, run, text):
+        argv = ["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"]
+        code, out, err = run(argv, stdin_text=text)
+        assert code == 0, err
+        assert (code, out, err) == run(argv, stdin_text=text.replace("  ", ""))
+
+
 class TestSpectraComputedOnce:
     """Each command computes the base spectrum once per sequence and one
     spectrum per transform, however many checks use them."""
@@ -353,6 +375,34 @@ class TestSpectraComputedOnce:
         )
         assert code == 0, err
         assert calls == {"base": 2, "transformed": 6}
+
+
+class TestRatioChecksKeepTheirHalf:
+    """The CLI reads only the scalar fields of each RatioCheck, so it never
+    builds a full-length ``ratios``."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            (["analyze", "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron"], ">x\nACGTTGCAACGG\n"),
+            (["compare", "--rep", "base", "--rep", "helmert", "--format", "json"], ">x\nACDEFGHIKLMNPQ\n"),
+            (["verify", "--rep", "zcurve", "--rep", "helmert"], ">a\nACGTTGCA\n>b\nGGCATTACA\n"),
+        ],
+        ids=["analyze", "compare", "verify"],
+    )
+    def test_ratios_are_never_built(self, run, monkeypatch, argv, stdin_text):
+        checks = []
+
+        def keeping(*args, **kwargs):
+            checks.append(check := original(*args, **kwargs))
+            return check
+
+        original = spectral.snr_ratio_check
+        monkeypatch.setattr(spectral, "snr_ratio_check", keeping)
+        code, _, err = run(argv, stdin_text=stdin_text)
+        assert code == 0, err
+        assert checks
+        assert all("ratios" not in vars(check) for check in checks)
 
 
 class TestSpectrum:

@@ -1,11 +1,14 @@
-"""Smoke test: every demo runs to completion against the current library."""
+"""Smoke test: every demo, and the README's quick start, runs to completion
+against the current library."""
+import re
 import runpy
 import shutil
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("[0-9][0-9]_*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 def test_all_four_demos_are_found():
@@ -20,3 +23,12 @@ def test_demo_runs(demo, tmp_path, capsys):
     shutil.copyfile(demo, copy)
     runpy.run_path(str(copy), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # The README's one python block is run as a script, so the docs cannot
+    # drift from the API.
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    script = tmp_path / "readme_quick_start.py"
+    script.write_text(block)
+    runpy.run_path(str(script), run_name="__main__")

@@ -104,6 +104,22 @@ class TestParseFasta:
         assert str(seq.alphabet) == "ACGT"
         assert seq.as_string() == "ACGT"
 
+    def test_indented_header_keeps_its_record(self):
+        # Regression: '\t>x' was taken for text before the first header, so
+        # record x was dropped without an error and only y was parsed.
+        seqs = parse_fasta("\t>x\nACGTACGT\n>y\nGT\n", DNA)
+        assert [(s.id, s.as_string()) for s in seqs] == [("x", "ACGTACGT"), ("y", "GT")]
+
+    def test_indented_first_header(self):
+        # Regression: '  >id\nACGT' failed with "empty sequence".
+        (seq,) = parse_fasta("  >id\nACGT\n", DNA)
+        assert (seq.id, seq.as_string()) == ("id", "ACGT")
+
+    @pytest.mark.parametrize("text, rid", [("  ;c\nACGT\n", None), ("  ;c\n>id\nACGT\n", "id")])
+    def test_indented_comment_is_skipped(self, text, rid):
+        (seq,) = parse_fasta(text)
+        assert (seq.id, str(seq.alphabet), seq.as_string()) == (rid, "ACGT", "ACGT")
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -82,16 +82,13 @@ class TestDftFast:
 
 
 def _power_of_dense_rows(rows):
-    """The kernel as it was before rows were gathered from a table: one rfft
-    over each whole block of dense rows, kept as the bit-for-bit reference."""
-    n_rows, m = rows.shape
-    half = np.zeros(m // 2 + 1)
-    step = max(1, spectral._BLOCK_BINS // half.size)
-    for start in range(0, n_rows, step):
-        spectra = np.fft.rfft(rows[start : start + step], axis=1)
-        block = spectra.real**2
-        block += spectra.imag**2
-        half += block.sum(axis=0)
+    """The plain reference for the kernel: one rfft over all the dense rows,
+    re^2 + im^2, summed row by row with sum(axis=0), mirrored to k = 0 .. m-1."""
+    m = rows.shape[1]
+    spectra = np.fft.rfft(rows, axis=1)
+    power = spectra.real**2
+    power += spectra.imag**2
+    half = power.sum(axis=0)
     full = np.empty(m)
     full[: half.size] = half
     full[half.size :] = half[m - half.size : 0 : -1]
@@ -128,7 +125,7 @@ class TestPowerKernel:
         table, codes = rng.standard_normal((7, 5)), rng.integers(0, 5, 40)
         expected = np.sum(np.abs([dft_naive(row) for row in table[:, codes]]) ** 2, axis=0)
         whole = spectral._report("t", 5, None, table, codes).power
-        monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 21 half bins: one row per block
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 40 samples: one row per batch
         forced = spectral._report("t", 5, None, table, codes).power
         np.testing.assert_allclose(forced, whole, rtol=1e-12)
         assert np.max(np.abs(forced - expected)) <= DFT_MATCH_TOL * 40
@@ -136,15 +133,17 @@ class TestPowerKernel:
     @pytest.mark.parametrize(
         "block_bins, size, m",
         [
-            (2**20, 4, 1000),  # one block, one batch
-            (2**20, 20, 65537),  # one block of 20 rows, in batches of 15 and 5
-            (2**20, 20, 200_001),  # blocks of 10 rows, each in batches of 5
-            (300, 20, 100),  # blocks of 5 rows, each in batches of 3 and 2
-            (120, 7, 60),  # blocks of 3 rows, in batches of 2 and 1
-            (8, 5, 33),  # one row per block and per batch
+            (2**20, 4, 1000),  # one batch
+            (2**20, 20, 65537),  # batches of 15 and 5 rows
+            (2**20, 20, 200_001),  # four batches of 5 rows
+            (300, 20, 100),  # batches of 3 rows, the last of 2
+            (120, 7, 60),  # batches of 2 rows, the last of 1
+            (8, 5, 33),  # one row per batch
+            (2**20, 4, 1_000_001),  # the scan size: one row per batch
         ],
     )
     def test_bit_identical_to_dense_blocks(self, monkeypatch, block_bins, size, m):
+        """The running sum over batches is bit for bit one sum over all rows."""
         monkeypatch.setattr(spectral, "_BLOCK_BINS", block_bins)
         rng = np.random.default_rng([block_bins, size, m])
         ind = build_indicators(random_sequence(default_alphabet(size), m, rng))
@@ -239,6 +238,44 @@ class TestHalfSpectrum:
             tracemalloc.stop()
         assert retained <= 3 * 8 * (m // 2 + 1) + 64 * 1024
         assert all(not {"power", "snr"} & vars(r).keys() for r in reports)
+
+
+class TestRatioCheckHalf:
+    """A RatioCheck stores its ratios at k = 0 .. m//2; ``ratios`` is mirrored
+    from them on first access."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8])
+    def test_stores_only_the_half(self, m):
+        ind = build_indicators(random_sequence(DNA, m, np.random.default_rng(m)))
+        check = snr_ratio_check(ind, build_zcurve())
+        assert check.half_ratios.shape == (m // 2 + 1,)
+        assert not check.half_ratios.flags.writeable
+        assert math.isnan(check.half_ratios[0])  # k = 0 has no SNR
+        assert "ratios" not in vars(check)
+        assert check.ratios.shape == (m - 1,)
+        assert check.ratios is check.ratios  # built once
+        assert not check.ratios.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            check.ratios[...] = 1.0
+        assert np.array_equal(_bits(check.ratios[: m // 2]), _bits(check.half_ratios[1:]))
+
+    def test_result_keeps_only_the_half(self):
+        """With both reports given, the result keeps 8 (m//2 + 1) bytes: the
+        full-length ratios of 8 (m - 1) bytes are never built."""
+        m = 200_000
+        ind = build_indicators(random_sequence(DNA, m, np.random.default_rng(201)))
+        rep = build_tetrahedron()
+        base = spectrum_base(ind)
+        transformed = spectrum_transformed(apply_representation(ind, rep))
+        snr_ratio_check(ind, rep, base=base, transformed=transformed)  # imports done before tracing
+        tracemalloc.start()
+        try:
+            check = snr_ratio_check(ind, rep, base=base, transformed=transformed)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.checked_bins == m - 1
+        assert retained <= 8 * (m // 2 + 1) + 16 * 1024
 
 
 class TestSpectrumBase:
