@@ -70,7 +70,7 @@ __all__ = [
     "COLUMN_IDENTITY_ATOL",
 ]
 
-ROW_DOT_ATOL = 1e-12          # row-pair and row-vs-ones dot products
+ROW_DOT_ATOL = 1e-12          # row-pair and row-vs-ones dot products of rows/d
 ROW_NORM_RTOL = 1e-12         # spread of row norms around d
 COLUMN_IDENTITY_ATOL = 1e-10  # column identities on the normalized matrix
 
@@ -185,8 +185,11 @@ def validate_row_orthogonal(
 
     Checks, in order: shape and finiteness; pairwise row orthogonality; equal
     row norms (their common value becomes d); orthogonality of every row to
-    the all-ones row; and the two column identities on rows/d (a redundant
-    cross-check, unreachable when the earlier checks pass).
+    the all-ones row; and the two column identities on rows/d. The row checks
+    are relative to d (dot products within ROW_DOT_ATOL·d², row sums within
+    ROW_DOT_ATOL·d), so they judge rows/d and the verdict does not depend on
+    the matrix's scale. Rows that pass them hold the column identities to
+    about T·ROW_DOT_ATOL, so the last check is a cross-check.
     """
     M = np.array(rows, dtype=np.float64)
     if M.ndim != 2:
@@ -206,19 +209,19 @@ def validate_row_orthogonal(
             raise MatrixError("alphabet_order symbols are not distinct")
 
     gram = M @ M.T
+    norms = np.sqrt(np.diag(gram))
+    d = float(norms.mean())
     off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > ROW_DOT_ATOL:
+    if np.max(np.abs(off)) > ROW_DOT_ATOL * d**2:
         raise MatrixError("rows not orthogonal")
 
-    norms = np.sqrt(np.diag(gram))
     if np.min(norms) <= 0.0:
         raise MatrixError("rows must be nonzero")
-    d = float(norms.mean())
     if np.max(np.abs(norms - d)) > ROW_NORM_RTOL * d:
         raise MatrixError("row norms differ")
 
     row_sums = M.sum(axis=1)
-    if np.max(np.abs(row_sums)) > ROW_DOT_ATOL:
+    if np.max(np.abs(row_sums)) > ROW_DOT_ATOL * d:
         raise MatrixError("rows not orthogonal to constant row")
 
     # Column Gram of rows/d must equal I - J/T: its diagonal is the

@@ -82,10 +82,12 @@ class Alphabet:
         return points
 
     @cached_property
-    def _sorted_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symbol code points in ascending order, and each one's alphabet index."""
-        order = np.argsort(self._points)
-        return self._points[order], order.astype(np.int64)
+    def _lookup(self) -> np.ndarray:
+        """Alphabet index by code point: -1 off the symbols and in one slot past the last."""
+        lookup = np.full(int(self._points.max()) + 2, -1, dtype=np.int64)
+        lookup[self._points] = np.arange(self.size)
+        lookup.setflags(write=False)
+        return lookup
 
     @property
     def size(self) -> int:
@@ -183,17 +185,14 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
     # One uint32 per character (lone surrogates included), so array
     # positions are string positions.
     points = np.frombuffer(folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    sorted_points, sorted_codes = alphabet._sorted_lookup
-    slots = np.searchsorted(sorted_points, points)
-    np.minimum(slots, sorted_points.size - 1, out=slots)
-    bad = sorted_points[slots] != points
-    if bad.any():
-        pos = int(np.argmax(bad))
+    lookup = alphabet._lookup
+    codes = lookup[np.minimum(points, lookup.size - 1)]
+    if codes.min() < 0:
+        pos = int(np.argmax(codes < 0))
         where = f" of record {id!r}" if id else ""
         raise SequenceError(
             f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
         )
-    codes = sorted_codes[slots]
     codes.setflags(write=False)  # a fresh array: the sequence keeps it, uncopied
     return SymbolicSequence(alphabet, codes, id=id)
 
@@ -201,13 +200,15 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
 def _records(text: str) -> list[tuple[str | None, str]]:
     """Split raw input into (id, body) pairs.
 
-    A line whose first non-blank character is ';' is a comment and is
-    skipped; one whose first non-blank character is '>' is a header. Input
-    whose first non-blank line, after the comments, is a header is FASTA;
-    anything else is a single headerless record.
+    Blank lines and comments (first non-blank character ';') are dropped;
+    input with nothing left has no records. A line whose first non-blank
+    character is '>' is a header. Input whose first remaining line is a
+    header is FASTA; anything else is a single headerless record.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if not line.startswith(";")]
-    if not next(filter(None, lines), "").startswith(">"):
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != ";"]
+    if not lines:
+        raise SequenceError("no sequence records in input")
+    if not lines[0].startswith(">"):
         return [(None, "\n".join(lines))]
     records: list[tuple[str | None, list[str]]] = []
     for line in lines:
@@ -252,8 +253,6 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
     and case is folded to upper. Lines whose first non-blank character is
     ';' are comments, in FASTA and in headerless input.
     """
-    if not text.strip():
-        raise SequenceError("no sequence records in input")
     cleaned: list[tuple[str | None, str]] = []
     for rid, raw in _records(text):
         body = "".join(raw.split()).upper()
@@ -290,4 +289,6 @@ def random_sequence(
         raise SequenceError("empty sequence")
     if rng is None:
         rng = np.random.default_rng()
-    return SymbolicSequence(alphabet, rng.integers(0, alphabet.size, size=m), id=id)
+    codes = rng.integers(0, alphabet.size, size=m)
+    codes.setflags(write=False)  # a fresh array: the sequence keeps it, uncopied
+    return SymbolicSequence(alphabet, codes, id=id)

@@ -311,6 +311,20 @@ class TestHeaderlessInput:
         )
 
 
+class TestRecordSplitting:
+    def test_text_before_first_header_is_one_headerless_record(self, run):
+        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text="ACGT\n>x\nGG\n")
+        assert (code, out) == (2, "")
+        assert err == "symspec: error: -: character '>' at position 5 is not in alphabet ACGT\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_comment_only_input_has_no_records(self, run, command):
+        # Regression: this read as one empty record, "-: empty sequence".
+        code, out, err = run([command], stdin_text=";only a comment\n")
+        assert (code, out) == (2, "")
+        assert err == "symspec: error: -: no sequence records in input\n"
+
+
 class TestIndentedMarkers:
     """A line is a header or a comment when its first non-blank character
     is '>' or ';', wherever it stands in the input."""

@@ -121,6 +121,26 @@ class TestValidateRowOrthogonal:
         with pytest.raises(MatrixError, match="alphabet_order"):
             validate_row_orthogonal([[1, -1]], alphabet_order=("A", "B", "C"))
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e3, 1e7])
+    def test_verdict_does_not_depend_on_scale(self, scale):
+        # Regression: row dot products were held to an absolute 1e-12, so
+        # the tetrahedron times 1e3 was rejected as "rows not orthogonal".
+        tet = build_tetrahedron()
+        rep = validate_row_orthogonal(tet.rows * scale, tet.alphabet_order)
+        assert rep.d == pytest.approx(tet.d * scale, rel=1e-15)
+        assert rep.kind == "row-orthogonal"
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0])
+    def test_rejects_rows_80_degrees_apart_at_any_scale(self, scale):
+        # Regression: at scale 1e-7 both row checks passed and only the
+        # column identities caught these rows.
+        u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        v = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+        angle = math.radians(80.0)
+        rows = np.array([u, math.cos(angle) * u + math.sin(angle) * v])
+        with pytest.raises(MatrixError, match=r"rows not orthogonal$"):
+            validate_row_orthogonal(rows * scale)
+
 
 class TestBuilders:
     def test_zcurve_column_order_and_norm(self):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,42 @@ class TestParseFasta:
         (seq,) = parse_fasta("AC 12\n")
         assert str(seq.alphabet) == "12AC"
 
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [
+            (None, "'>' at position 5 marks a FASTA header or comment and is never inferred"),
+            (DNA, "'>' at position 5 is not in alphabet ACGT"),
+        ],
+    )
+    def test_text_before_first_header_makes_one_headerless_record(self, alphabet, message):
+        # The '>x' line inside headerless text is a marker, not a new record.
+        with pytest.raises(SequenceError, match=message):
+            parse_fasta("ACGT\n>x\nGG\n", alphabet)
+
+    @pytest.mark.parametrize("text", [";only a comment\n", "  \n;c\n\t;d\n"])
+    @pytest.mark.parametrize("alphabet", [None, DNA])
+    def test_comment_only_input_has_no_records(self, text, alphabet):
+        # Regression: comments were dropped after the blank-input check, so
+        # this read as one empty record ("empty sequence").
+        with pytest.raises(SequenceError, match="^no sequence records in input$"):
+            parse_fasta(text, alphabet)
+
+    def test_record_of_comments_is_empty(self):
+        with pytest.raises(SequenceError, match=r"^empty sequence \(record 'x'\)$"):
+            parse_fasta(">x\n;c\n")
+
+    @pytest.mark.parametrize("alphabet", [DNA, PROTEIN])
+    def test_parse_peak_memory_per_symbol(self, alphabet):
+        m = 200_000
+        text = to_fasta(random_sequence(alphabet, m, np.random.default_rng(3), id="r"))
+        tracemalloc.start()
+        try:
+            parse_fasta(text, alphabet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * m
+
 
 class TestSequenceFromString:
     def test_single_symbol_repeated(self):
@@ -161,6 +198,29 @@ class TestSequenceFromString:
     def test_error_names_character_and_position(self):
         with pytest.raises(SequenceError, match=r"'X' at position 3"):
             sequence_from_string("ACXT", DNA)
+
+    def test_symbol_at_the_largest_code_point(self):
+        alphabet = Alphabet(("A", "\U0010ffff"))
+        assert sequence_from_string("A\U0010ffffA", alphabet).codes.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ACZT", "character 'Z' at position 3 is not in alphabet ACGT"),  # above 'T'
+            ("AC\U0001f600", "character '\U0001f600' at position 3 is not in alphabet ACGT"),
+            ("AC!T", "character '!' at position 3 is not in alphabet ACGT"),  # below 'A'
+        ],
+    )
+    def test_characters_outside_the_symbol_range(self, text, message):
+        with pytest.raises(SequenceError) as exc:
+            sequence_from_string(text, DNA)
+        assert str(exc.value) == message
+
+    def test_lone_surrogate_symbol(self):
+        alphabet = Alphabet(("A", "\ud800"))
+        assert sequence_from_string("\ud800Aa", alphabet).codes.tolist() == [1, 0, 0]
+        with pytest.raises(SequenceError, match="at position 2"):
+            sequence_from_string("A\udfff", alphabet)
 
     def test_ambiguity_codes_are_ordinary_symbols(self):
         extended = Alphabet("ACGTN-")
@@ -285,6 +345,19 @@ def test_random_sequence_is_seed_deterministic():
     b = random_sequence(DNA, 50, np.random.default_rng(11))
     assert a == b
     assert a.m == 50
+
+
+def test_random_sequence_keeps_its_draw_uncopied():
+    m = 1_000_000
+    rng = np.random.default_rng(12)
+    tracemalloc.start()
+    try:
+        seq = random_sequence(DNA, m, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m + 64 * 1024
+    assert not seq.codes.flags.writeable
 
 
 def _encode_per_character(text, alphabet, id=None):

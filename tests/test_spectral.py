@@ -372,6 +372,14 @@ class TestSnrRatio:
         assert check.expected == pytest.approx(size / (size - 1))
         assert check.passed()
 
+    def test_large_scale_tetrahedron_passes(self):
+        tet = build_tetrahedron()
+        scaled = validate_row_orthogonal(tet.rows * 1e3, tet.alphabet_order, name="scaled")
+        seq = random_sequence(DNA, 500, np.random.default_rng(13))
+        check = snr_ratio_check(build_indicators(seq), scaled)
+        assert not check.vacuous
+        assert check.passed()
+
     def test_scaled_matrix_leaves_snr_unchanged(self):
         z = build_zcurve()
         scaled = validate_row_orthogonal(2.5 * z.rows, z.alphabet_order, name="scaled")
