@@ -118,9 +118,45 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+# glibc's handle once entry() has tuned malloc, else None. Module state, as
+# malloc's settings are state of the whole process.
+_tuned_libc = None
+
+
+def _tune_malloc() -> None:
+    """Keep freed blocks of up to 32 MiB in glibc's heap while a command computes.
+
+    With glibc's defaults, the FFT layer's blocks of several MB (gathered
+    rows, rfft outputs, pocketfft's scratch) are unmapped or trimmed when
+    freed and faulted back in by the next batch of rows. Does nothing where
+    the C library has no mallopt or malloc_trim, or refuses the settings;
+    _output() hands the kept memory back before anything is rendered.
+    """
+    global _tuned_libc
+    import ctypes  # numpy has loaded it already
+
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at its 64-bit maximum, then M_TRIM_THRESHOLD (-1).
+    # A trim threshold alone, without the mmap threshold, is slower than neither.
+    if mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20):
+        _tuned_libc = libc
+
+
 @contextmanager
 def _output(args):
-    """The stream --output names: stdout, or the file, created only now."""
+    """The stream --output names: stdout, or the file, created only now.
+
+    Every command's output passes through here once, after its last
+    spectrum: memory that _tune_malloc kept is handed back first.
+    """
+    if _tuned_libc is not None:
+        _tuned_libc.malloc_trim(0)
     if args.output in (None, "-"):
         yield sys.stdout
     else:
@@ -207,13 +243,14 @@ def _analyses(args, rep_names):
 
     Returns the sequence, its input label, one (entry, report) pair per
     representation, the notes and the exit status: 0 when every identity
-    check passes, 1 otherwise. The base spectrum is computed once.
+    check passes, 1 otherwise. The base spectrum is computed once, and a
+    representation named twice is analysed once.
     """
     seq, label = _load_single(args)
     ind = build_indicators(seq)
     base = spectral.spectrum_base(ind)
-    analyses, passed = [], []
-    for rep_name in rep_names:
+    by_name, passed = {}, []
+    for rep_name in dict.fromkeys(rep_names):
         rep = _resolve_rep(rep_name, seq.alphabet)
         if rep is None:
             report = base
@@ -247,12 +284,13 @@ def _analyses(args, rep_names):
                 "snr_ratio": ratio,
             },
         }
-        analyses.append((entry, report))
+        by_name[rep_name] = (entry, report)
         passed.append(total.passed() and ratio["pass"])
 
     notes = [_TOTALS_NOTE]
     if args.period > seq.m:
         notes.append(f"period {args.period} exceeds sequence length {seq.m}; no peak bin")
+    analyses = [by_name[rep_name] for rep_name in rep_names]
     return seq, label, analyses, notes, 0 if all(passed) else 1
 
 
@@ -310,9 +348,9 @@ def _write_profile_csv(args, named_reports, with_rep_column: bool) -> None:
     """One CSV row per bin k = 1 .. m-1 of each report; the reports share m,
     so k and frequency are formatted once."""
     m = named_reports[0][1].m
-    k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
     header = "k,frequency,power,snr\n"
     with _output(args) as out:
+        k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
         out.write("representation," + header if with_rep_column else header)
         for name, report in named_reports:
             half_snr = report.half_power / report.mean_noise
@@ -528,13 +566,16 @@ def cmd_verify(args) -> int:
             "verify checks channel transforms against the implicit base representation; "
             "--rep base is not a transform"
         )
-    reps = [(name, _resolve_rep(name, alphabet)) for name in rep_names]
+    reps = {name: _resolve_rep(name, alphabet) for name in rep_names}  # a repeated --rep once
 
     results = []
     for i, seq in enumerate(seqs):
         ind = build_indicators(seq)
         base = spectral.spectrum_base(ind)
         tot = spectral.verify_total_spectrum(ind, report=base)
+        ratios = {
+            name: _ratio_fields(spectral.snr_ratio_check(ind, rep, base=base)) for name, rep in reps.items()
+        }
         results.append(
             {
                 "id": seq.id or f"record-{i:03d}",
@@ -545,13 +586,7 @@ def cmd_verify(args) -> int:
                     "relative_error": tot.relative_error,
                     "pass": tot.passed(),
                 },
-                "snr_ratio": [
-                    {
-                        "representation": name,
-                        **_ratio_fields(spectral.snr_ratio_check(ind, rep, base=base)),
-                    }
-                    for name, rep in reps
-                ],
+                "snr_ratio": [{"representation": name, **ratios[name]} for name in rep_names],
             }
         )
 
@@ -656,4 +691,6 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """``python -m symspec`` and the ``symspec`` script: main() in a tuned process."""
+    _tune_malloc()
     sys.exit(main())

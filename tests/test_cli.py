@@ -1,14 +1,19 @@
 import argparse
+import ctypes
 import csv
 import io
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from symspec import build_zcurve, save_matrix, spectral
+from symspec import build_zcurve, cli, save_matrix, spectral
 from symspec.cli import _write_profile_csv, _write_profile_json, main
 
 
@@ -349,7 +354,8 @@ class TestIndentedMarkers:
 
 class TestSpectraComputedOnce:
     """Each command computes the base spectrum once per sequence and one
-    spectrum per transform, however many checks use them."""
+    spectrum per transform, however many checks use them and however often
+    --rep names it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -368,23 +374,28 @@ class TestSpectraComputedOnce:
         return counts
 
     def test_analyze(self, run, calls):
-        code, _, err = run(
-            ["analyze", "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron"],
+        reps = ["base", "zcurve", "tetrahedron", "zcurve", "base"]
+        code, out, err = run(
+            ["analyze", *(f"--rep={rep}" for rep in reps), "--format", "json"],
             stdin_text=">x\nACGTTGCAACGG\n",
         )
         assert code == 0, err
         assert calls == {"base": 1, "transformed": 2}
+        entries = json.loads(out)["representations"]
+        assert [e["name"] for e in entries] == reps
+        assert entries[3] == entries[1] and entries[4] == entries[0]
 
     def test_compare(self, run, calls):
         code, _, err = run(
-            ["compare", "--rep", "base", "--rep", "helmert"], stdin_text=">x\nACDEFGHIKLMNPQ\n"
+            ["compare", "--rep", "base", "--rep", "helmert", "--rep", "helmert"],
+            stdin_text=">x\nACDEFGHIKLMNPQ\n",
         )
         assert code == 0, err
         assert calls == {"base": 1, "transformed": 1}
 
     def test_verify_two_records(self, run, calls):
         code, _, err = run(
-            ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert"],
+            ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert", "--rep", "helmert"],
             stdin_text=">a\nACGTTGCA\n>b\nGGCATTACA\n",
         )
         assert code == 0, err
@@ -520,3 +531,123 @@ class TestProfileRenderer:
         path = tmp_path / "out.json"
         _write_profile_json(self._args(path), fields, r)
         assert path.read_bytes() == expected.encode()
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """A fake C library in place of ``ctypes.CDLL(None)``; ``libc.calls``
+    logs its calls in order. ``_tuned_libc`` is put back after the test."""
+    calls = []
+    fake = types.SimpleNamespace(
+        calls=calls,
+        mallopt=lambda param, value: calls.append(("mallopt", param, value)) or 1,
+        malloc_trim=lambda pad: calls.append(("malloc_trim", pad)) or 1,
+    )
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+    monkeypatch.setattr(cli, "_tuned_libc", None)
+    return fake
+
+
+@pytest.fixture
+def run_entry(monkeypatch, capsys):
+    """Run ``cli.entry()``, the path of ``python -m symspec``, in-process."""
+    def _run(argv, stdin_text=""):
+        monkeypatch.setattr(sys, "argv", ["symspec", *argv])
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode())))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    return _run
+
+
+DNA_TEXT = ">x\nACGTTGCAACGGTTA\n"
+COMMAND_ARGV = {
+    "analyze-text": ["analyze", "--rep", "base", "--rep", "zcurve"],
+    "analyze-json": ["analyze", "--rep", "base", "--rep", "tetrahedron", "--format", "json"],
+    "analyze-csv": ["analyze", "--rep", "base", "--rep", "helmert", "--format", "csv"],
+    "compare-csv": ["compare", "--rep", "base", "--rep", "zcurve", "--format", "csv"],
+    "verify-json": ["verify", "--format", "json"],
+    "spectrum-csv": ["spectrum", "--rep", "zcurve"],
+    "spectrum-json": ["spectrum", "--rep", "helmert", "--format", "json"],
+}
+
+
+class TestMallocTuning:
+    """``entry()`` tunes glibc's malloc before main() and trims the heap
+    once, in _output(); library use and an in-process main() touch neither."""
+
+    def test_entry_sets_both_thresholds_before_main(self, libc, monkeypatch, run_entry):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(list(libc.calls)) or 0)
+        assert run_entry([])[0] == 0
+        assert seen == [[("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]]
+
+    @pytest.mark.parametrize("key", list(COMMAND_ARGV))
+    def test_one_trim_after_the_spectra_before_any_formatting(self, libc, monkeypatch, run_entry, key):
+        def logged(event, fn):
+            def wrapped(*args, **kwargs):
+                libc.calls.append(event)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(spectral, "spectrum_base", logged("spectrum", spectral.spectrum_base))
+        monkeypatch.setattr(spectral, "spectrum_transformed", logged("spectrum", spectral.spectrum_transformed))
+        monkeypatch.setattr(cli, "_float_strings", logged("format", cli._float_strings))
+        code, _, err = run_entry(COMMAND_ARGV[key], DNA_TEXT)
+        assert code == 0, err
+        assert [call[0] for call in libc.calls[:2]] == ["mallopt", "mallopt"]
+        events = libc.calls[2:]
+        assert events.count(("malloc_trim", 0)) == 1
+        trim = events.index(("malloc_trim", 0))
+        assert "spectrum" in events[:trim] and "spectrum" not in events[trim:]
+        assert "format" not in events[:trim]
+
+    @pytest.mark.parametrize("fault", ["no mallopt", "no libc", "mallopt refuses"])
+    @pytest.mark.parametrize("argv", [COMMAND_ARGV["analyze-csv"], ["compare", "--rep", "base"]])
+    def test_other_c_libraries_change_nothing(self, libc, monkeypatch, run, run_entry, fault, argv):
+        if fault == "no mallopt":
+            del libc.mallopt
+        elif fault == "no libc":
+            def no_libc(name):
+                raise OSError("no C library")
+            monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        else:
+            libc.mallopt = lambda param, value: libc.calls.append(("mallopt", param, value)) or 0
+        assert run_entry(argv, DNA_TEXT) == run(argv, stdin_text=DNA_TEXT)
+        assert cli._tuned_libc is None
+        assert ("malloc_trim", 0) not in libc.calls
+
+    @pytest.mark.parametrize("key", list(COMMAND_ARGV))
+    def test_in_process_main_makes_no_call(self, libc, run, key):
+        code, _, err = run(COMMAND_ARGV[key], stdin_text=DNA_TEXT)
+        assert code == 0, err
+        assert libc.calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc only")
+    def test_entry_takes_under_half_the_page_faults(self, tmp_path):
+        """At m = 5e5 the FFT layer's freed blocks stay mapped: one child
+        through ``python -m symspec`` against one calling main() itself."""
+        rng = np.random.default_rng(500_000)
+        body = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 500_000)].tobytes()
+        path = tmp_path / "dna.fa"
+        path.write_bytes(b">x\n" + b"\n".join(body[i : i + 60] for i in range(0, len(body), 60)) + b"\n")
+        argv = ["analyze", "--input", str(path), "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron",
+                "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        children = {
+            "entry": ["-m", "symspec"],
+            "main": ["-c", "import sys; from symspec.cli import main; sys.exit(main(sys.argv[1:]))"],
+        }
+        faults, outputs = {}, {}
+        for name, head in children.items():
+            out_path = tmp_path / f"{name}.out"
+            with open(out_path, "wb") as out:
+                proc = subprocess.Popen([sys.executable, *head, *argv], stdout=out, env=env)
+                _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            faults[name], outputs[name] = usage.ru_minflt, out_path.read_bytes()
+        assert outputs["entry"] == outputs["main"]
+        assert faults["entry"] < faults["main"] / 2, faults

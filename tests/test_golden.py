@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -210,6 +211,26 @@ def test_every_command_and_format_has_a_case():
 @pytest.mark.parametrize("cid", list(CASES))
 def test_output_matches_golden(cid, golden, matrices):
     assert record(*run_case(cid, matrices)) == golden[cid]
+
+
+# Cases run again through ``python -m symspec``, whose entry() tunes malloc.
+ENTRY_CASES = [
+    "dna-100000/analyze/csv",
+    "dna-100000/spectrum-zcurve/json",
+    "periodic-1200/analyze/json",
+    "random-20/verify/json",
+]
+
+
+@pytest.mark.parametrize("cid", ENTRY_CASES)
+def test_entry_process_matches_golden(cid, golden):
+    inp, argv = CASES[cid]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symspec", *argv],
+        input=INPUTS[inp].encode() if inp else b"",
+        capture_output=True,
+    )
+    assert record(proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == golden[cid]
 
 
 @pytest.mark.parametrize("cid", OUTPUT_CASES)

@@ -154,6 +154,31 @@ class TestPowerKernel:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestLargeLengthOracle:
+    """dft_naive stops near m = 1500. At the scan size, m = 1e6 (one row per
+    batch), sampled bins of the reports' power are checked against a direct
+    single-bin sum: each phase reduced exactly as (k*j) mod m, and each
+    symbol's cosines and sines summed with math.fsum."""
+
+    BINS = (1, 2, 333_333, 333_334, 499_999, 500_000)
+
+    def test_base_and_tetrahedron_at_sampled_bins(self):
+        m = 1_000_000
+        seq = random_sequence(DNA, m, np.random.default_rng(m))
+        ind = build_indicators(seq)
+        sig = apply_representation(ind, build_tetrahedron())
+        base, tetrahedron = spectrum_base(ind), spectrum_transformed(sig)
+        positions = [np.flatnonzero(seq.codes == s) for s in range(DNA.size)]
+        j = np.arange(m, dtype=np.int64)
+        for k in self.BINS:
+            angle = (k * j % m) * (2 * math.pi / m)
+            # X_s(k), the DFT at bin k of symbol s's indicator row.
+            x = np.array([complex(math.fsum(np.cos(angle[p])), -math.fsum(np.sin(angle[p]))) for p in positions])
+            for report, spectra in ((base, x), (tetrahedron, sig.table @ x)):
+                expected = math.fsum(abs(v) ** 2 for v in spectra)
+                assert abs(report.half_power[k] - expected) <= DFT_MATCH_TOL * m, (report.representation, k)
+
+
 class TestNoDenseMatrix:
     """Indicators and transforms hold codes and a table; a spectrum holds a
     few gathered rows at a time, never the dense T x m matrix."""
