@@ -238,13 +238,16 @@ def _ratio_fields(rc: spectral.RatioCheck) -> dict:
     }
 
 
-def _analyses(args, rep_names):
+def _analyses(args, rep_names, keep_reports: bool = False):
     """The one input record analysed under each named representation.
 
     Returns the sequence, its input label, one (entry, report) pair per
     representation, the notes and the exit status: 0 when every identity
     check passes, 1 otherwise. The base spectrum is computed once, and a
-    representation named twice is analysed once.
+    representation named twice is analysed once. Each report is dropped
+    once its entry is made (None in its pair), unless *keep_reports* asks
+    for it to render a per-bin profile; the base report lives until the
+    last ratio check.
     """
     seq, label = _load_single(args)
     ind = build_indicators(seq)
@@ -284,8 +287,9 @@ def _analyses(args, rep_names):
                 "snr_ratio": ratio,
             },
         }
-        by_name[rep_name] = (entry, report)
+        by_name[rep_name] = (entry, report if keep_reports else None)
         passed.append(total.passed() and ratio["pass"])
+        del report  # not held while the next spectrum is computed
 
     notes = [_TOTALS_NOTE]
     if args.period > seq.m:
@@ -400,7 +404,7 @@ def _write_json_array(out, strings: list[str]) -> None:
 
 def cmd_analyze(args) -> int:
     _check_period(args)
-    seq, label, analyses, notes, status = _analyses(args, args.reps or ["base"])
+    seq, label, analyses, notes, status = _analyses(args, args.reps or ["base"], args.format == "csv")
     entries = [entry for entry, _ in analyses]
 
     if args.format == "json":

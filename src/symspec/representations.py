@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolicSequence, _read_only
+from .sequences import Alphabet, SymbolicSequence, _read_only_codes
 
 __all__ = [
     "MatrixError",
@@ -80,8 +80,9 @@ class MatrixError(ValueError):
 
 
 def _checked_codes(codes, size: int) -> np.ndarray:
-    """*codes* as read-only int64 codes into an alphabet of *size* symbols."""
-    codes = _read_only(codes, np.int64)
+    """*codes* as read-only integer codes into an alphabet of *size* symbols,
+    kept in their own integer dtype (see ``sequences._read_only_codes``)."""
+    codes = _read_only_codes(codes)
     if codes.ndim != 1 or codes.size < 1:
         raise MatrixError("codes must be a non-empty 1-D array")
     if codes.min() < 0 or codes.max() >= size:

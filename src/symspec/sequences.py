@@ -2,7 +2,9 @@
 
 Sequences are stored as integer codes into an ordered alphabet. Ordering is
 load-bearing: channel transforms bind to alphabet symbols, so inferred
-alphabets are sorted to keep results reproducible across runs.
+alphabets are sorted to keep results reproducible across runs. Encoded
+text gets codes of the narrowest unsigned dtype that holds the alphabet's
+indices: one byte per symbol for up to 256 symbols.
 
 Input text is case-folded to upper before validation. Ambiguity codes such
 as 'N' or '-' get no special treatment: they are ordinary symbols when the
@@ -50,6 +52,18 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _read_only_codes(values) -> np.ndarray:
+    """*values* as read-only integer codes, kept in their own integer dtype.
+
+    Integer arrays that numpy can index with (every integer dtype but
+    uint64) keep their dtype, so one-byte codes stay one byte; anything
+    else is cast to int64.
+    """
+    arr = np.asarray(values)
+    keep = arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.intp)
+    return _read_only(arr, arr.dtype if keep else np.int64)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered collection of distinct single-character symbols.
@@ -83,8 +97,16 @@ class Alphabet:
 
     @cached_property
     def _lookup(self) -> np.ndarray:
-        """Alphabet index by code point: -1 off the symbols and in one slot past the last."""
-        lookup = np.full(int(self._points.max()) + 2, -1, dtype=np.int64)
+        """Alphabet index by code point, in the narrowest unsigned dtype that
+        holds every index (uint8 up to 256 symbols).
+
+        Code points off the symbols, and one slot past the largest symbol's,
+        hold the dtype's largest value. In an alphabet that fills the dtype
+        (T = 256 or 65536) that is also the last symbol's index, so there
+        the encoder compares code points before it reports an error.
+        """
+        dtype = np.min_scalar_type(self.size - 1)
+        lookup = np.full(int(self._points.max()) + 2, np.iinfo(dtype).max, dtype=dtype)
         lookup[self._points] = np.arange(self.size)
         lookup.setflags(write=False)
         return lookup
@@ -141,7 +163,7 @@ class SymbolicSequence:
     id: str | None = None
 
     def __post_init__(self):
-        codes = _read_only(self.codes, np.int64)
+        codes = _read_only_codes(self.codes)
         if codes.ndim != 1:
             raise SequenceError("sequence codes must be 1-D")
         if codes.size == 0:
@@ -182,17 +204,34 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
     folded = text.upper()
     if not folded:
         raise SequenceError("empty sequence")
-    # One uint32 per character (lone surrogates included), so array
-    # positions are string positions.
-    points = np.frombuffer(folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return _encode(folded, alphabet, id)
+
+
+def _encode(folded: str, alphabet: Alphabet, id: str | None) -> SymbolicSequence:
+    """Encode non-empty upper-cased text through ``alphabet._lookup``: one gather."""
     lookup = alphabet._lookup
-    codes = lookup[np.minimum(points, lookup.size - 1)]
-    if codes.min() < 0:
-        pos = int(np.argmax(codes < 0))
-        where = f" of record {id!r}" if id else ""
-        raise SequenceError(
-            f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
-        )
+    # The kept codes are allocated before the transients below, so that
+    # these are freed at the top of the heap, not into a hole under the
+    # codes that the FFT layer's blocks do not fit (at m = 1e6 that hole
+    # cost analyze 3.8 MiB of peak RSS).
+    codes = np.empty(len(folded), dtype=lookup.dtype)
+    # One uint32 per character (lone surrogates included), so array
+    # positions are string positions; clamped and widened to intp in one
+    # pass, so that the gather makes no index copy of its own. The indices
+    # are in range, and mode="clip" writes into `out` without a buffer.
+    points = np.frombuffer(folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    np.take(lookup, np.minimum(points, lookup.size - 1, dtype=np.intp), out=codes, mode="clip")
+    off = lookup[-1]  # the code of every character off the symbols
+    if codes.max() == off:
+        bad = codes == off
+        if off == alphabet.size - 1:  # also the last symbol's code, in a full dtype
+            bad &= points != alphabet._points[off]
+        if bad.any():
+            pos = int(np.argmax(bad))
+            where = f" of record {id!r}" if id else ""
+            raise SequenceError(
+                f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
+            )
     codes.setflags(write=False)  # a fresh array: the sequence keeps it, uncopied
     return SymbolicSequence(alphabet, codes, id=id)
 
@@ -250,8 +289,8 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
     distinct characters over all records, which must not include the
     markers '>' and ';'; otherwise every character must belong to the given
     alphabet. Whitespace and line wrapping inside record bodies are ignored
-    and case is folded to upper. Lines whose first non-blank character is
-    ';' are comments, in FASTA and in headerless input.
+    and case is folded to upper, once per record. Lines whose first
+    non-blank character is ';' are comments, in FASTA and in headerless input.
     """
     cleaned: list[tuple[str | None, str]] = []
     for rid, raw in _records(text):
@@ -262,7 +301,7 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
         cleaned.append((rid, body))
     if alphabet is None:
         alphabet = _infer_alphabet(cleaned)
-    return [sequence_from_string(body, alphabet, id=rid) for rid, body in cleaned]
+    return [_encode(body, alphabet, rid) for rid, body in cleaned]
 
 
 def to_fasta(seqs: SymbolicSequence | Iterable[SymbolicSequence], width: int = 60) -> str:

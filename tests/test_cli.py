@@ -8,11 +8,15 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import types
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symspec
 from symspec import build_zcurve, cli, save_matrix, spectral
 from symspec.cli import _write_profile_csv, _write_profile_json, main
 
@@ -563,6 +567,16 @@ def run_entry(monkeypatch, capsys):
 
 
 DNA_TEXT = ">x\nACGTTGCAACGGTTA\n"
+
+
+def _fasta_file(path, symbols: bytes, m: int):
+    """A one-record FASTA file of *m* uniform random *symbols*, 60 a line."""
+    rng = np.random.default_rng(m)
+    body = np.frombuffer(symbols, dtype=np.uint8)[rng.integers(0, len(symbols), m)].tobytes()
+    path.write_bytes(b">x\n" + b"\n".join(body[i : i + 60] for i in range(0, len(body), 60)) + b"\n")
+    return path
+
+
 COMMAND_ARGV = {
     "analyze-text": ["analyze", "--rep", "base", "--rep", "zcurve"],
     "analyze-json": ["analyze", "--rep", "base", "--rep", "tetrahedron", "--format", "json"],
@@ -629,10 +643,7 @@ class TestMallocTuning:
     def test_entry_takes_under_half_the_page_faults(self, tmp_path):
         """At m = 5e5 the FFT layer's freed blocks stay mapped: one child
         through ``python -m symspec`` against one calling main() itself."""
-        rng = np.random.default_rng(500_000)
-        body = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 500_000)].tobytes()
-        path = tmp_path / "dna.fa"
-        path.write_bytes(b">x\n" + b"\n".join(body[i : i + 60] for i in range(0, len(body), 60)) + b"\n")
+        path = _fasta_file(tmp_path / "dna.fa", b"ACGT", 500_000)
         argv = ["analyze", "--input", str(path), "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron",
                 "--format", "json"]
         env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
@@ -651,3 +662,117 @@ class TestMallocTuning:
             faults[name], outputs[name] = usage.ru_minflt, out_path.read_bytes()
         assert outputs["entry"] == outputs["main"]
         assert faults["entry"] < faults["main"] / 2, faults
+
+
+class TestReportsKeptForProfilesOnly:
+    """analyze keeps each report only to render per-bin profiles (--format
+    csv); otherwise a report is dropped once its entry is made, and the base
+    report lives until the last ratio check."""
+
+    @pytest.mark.parametrize(
+        "argv, kept",
+        [
+            (["analyze"], False),
+            (["analyze", "--format", "json"], False),
+            (["analyze", "--format", "csv"], True),
+            (["compare", "--format", "json"], False),
+            (["compare", "--format", "csv"], False),
+        ],
+        ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv"],
+    )
+    def test_reports_alive_when_each_spectrum_starts(self, run, monkeypatch, argv, kept):
+        reports, alive = [], []
+
+        def tracking(fn):
+            def wrapped(*args, **kwargs):
+                alive.append([ref() is not None for ref in reports])
+                report = fn(*args, **kwargs)
+                reports.append(weakref.ref(report))
+                return report
+            return wrapped
+
+        monkeypatch.setattr(spectral, "spectrum_base", tracking(spectral.spectrum_base))
+        monkeypatch.setattr(spectral, "spectrum_transformed", tracking(spectral.spectrum_transformed))
+        reps = ["--rep=base", "--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
+        code, _, err = run(argv + reps, stdin_text=DNA_TEXT)
+        assert code == 0, err
+        assert alive == [[], [True], [True, kept], [True, kept, kept]]
+
+
+class TestAnalyzeBytesPerSymbol:
+    """At m = 1e6 each batch of the power kernel is one row. While each
+    spectrum is computed, analyze holds the one-byte codes and the base half
+    spectrum, 5 B/symbol; its tracemalloc peak is that, the running half
+    spectrum and the one row's spectrum and power."""
+
+    @pytest.mark.parametrize(
+        "symbols, reps",
+        [(b"ACGT", ["base", "zcurve", "tetrahedron"]), (b"ACDEFGHIKLMNPQRSTVWY", ["base", "helmert"])],
+        ids=["T=4", "T=20"],
+    )
+    def test_held_and_peak_bytes(self, tmp_path, monkeypatch, symbols, reps):
+        m = 1_000_000
+        held = []
+        power = spectral._power
+
+        def tracing(table, codes):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return power(table, codes)
+
+        monkeypatch.setattr(spectral, "_power", tracing)
+
+        def analyze(path):
+            return main(["analyze", "--input", str(path), "--output", str(tmp_path / "out.json"),
+                         "--format", "json", *(f"--rep={rep}" for rep in reps)])
+
+        assert analyze(_fasta_file(tmp_path / "small.fa", symbols, 100)) == 0  # imports done before tracing
+        path = _fasta_file(tmp_path / "large.fa", symbols, m)
+        held.clear()
+        tracemalloc.start()
+        try:
+            code = analyze(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(held) == len(reps)
+        assert max(held) <= 5 * m + 128 * 1024, [h / m for h in held]
+        assert peak <= 28 * m, peak / m
+
+
+# Starts the command in its argv and prints the child's ru_maxrss (KiB) and
+# exit status. It does not import numpy: a child exec'd from a process
+# starts from that process's RSS high-water mark.
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="ru_maxrss in KiB and glibc's malloc, as tuned by entry()",
+)
+def test_analyze_peak_rss_above_an_import(tmp_path):
+    """``python -m symspec analyze`` at m = 1e6 DNA with three
+    representations peaks at most 48 MiB above a child that only imports
+    symspec.cli: the one-byte codes, two half spectra and one FFT row in
+    flight (about 32 B/symbol)."""
+    path = _fasta_file(tmp_path / "dna.fa", b"ACGT", 1_000_000)
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env.update(PYTHONPATH=str(Path(symspec.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def peak_kib(*argv):
+        out = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, sys.executable, *argv],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        kib, status = map(int, out.split())
+        assert status == 0, argv
+        return kib
+
+    imported = peak_kib("-c", "import symspec.cli")
+    analyze = peak_kib("-m", "symspec", "analyze", "--input", str(path), "--rep", "base",
+                       "--rep", "zcurve", "--rep", "tetrahedron", "--format", "json")
+    assert analyze - imported <= 48 * 1024, (analyze, imported)

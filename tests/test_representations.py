@@ -12,6 +12,7 @@ from symspec import (
     IndicatorMatrix,
     MatrixError,
     SymbolicSequence,
+    TransformedSignal,
     apply_representation,
     build_helmert,
     build_indicators,
@@ -21,6 +22,7 @@ from symspec import (
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
+    parse_fasta,
     save_matrix,
     sequence_from_string,
     validate_row_orthogonal,
@@ -82,6 +84,37 @@ class TestIndicators:
         sig = apply_representation(ind, build_zcurve())
         for arr in (ind.codes, ind.rows, sig.table, sig.codes, sig.channels):
             assert not arr.flags.writeable
+
+
+class TestSharedCodes:
+    """Indicators and transforms keep the sequence's one-byte codes as they
+    are: one buffer from the encoder to the spectral kernel."""
+
+    def test_parsed_codes_are_shared(self):
+        seq = parse_fasta(">x\nACGTTGCAACGGTTA\n", DNA)[0]
+        ind = build_indicators(seq)
+        sigs = [apply_representation(ind, rep) for rep in (build_zcurve(), build_tetrahedron(), build_helmert(4))]
+        assert seq.codes.dtype == np.uint8
+        assert ind.codes is seq.codes
+        for arr in [ind.codes] + [sig.codes for sig in sigs]:
+            assert np.shares_memory(arr, seq.codes) and arr.dtype == np.uint8
+
+    def test_one_byte_codes_give_the_int64_results(self):
+        seq = sequence_from_string("ACGTTGCAACGGTTAGGA", DNA)
+        wide = SymbolicSequence(DNA, seq.codes.astype(np.int64))
+        narrow, broad = build_indicators(seq), build_indicators(wide)
+        assert np.array_equal(narrow.rows, broad.rows) and np.array_equal(narrow.counts, broad.counts)
+        assert np.array_equal(narrow.support("G"), broad.support("G"))
+        narrow_sig = apply_representation(narrow, build_tetrahedron())
+        wide_sig = apply_representation(broad, build_tetrahedron())
+        assert narrow_sig.channels.tobytes() == wide_sig.channels.tobytes()
+        assert np.array_equal(cumulative_coordinates(narrow_sig), cumulative_coordinates(wide_sig))
+
+    def test_constructors_keep_read_only_integer_codes(self):
+        codes = np.array([0, 1, 3, 2], dtype=np.uint8)
+        codes.setflags(write=False)
+        assert IndicatorMatrix(DNA, codes).codes is codes
+        assert TransformedSignal(build_zcurve().rows, codes, "zcurve", 2.0).codes is codes
 
 
 class TestValidateRowOrthogonal:

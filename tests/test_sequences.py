@@ -173,7 +173,54 @@ class TestParseFasta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 21 * m
+        assert peak <= 16 * m
+
+
+def _case_stable_alphabet(size):
+    """*size* symbols from U+4E00 up that upper-casing leaves as they are."""
+    points = (p for p in range(0x4E00, 0x110000) if chr(p).upper() == chr(p))
+    return Alphabet(tuple(chr(p) for _, p in zip(range(size), points)))
+
+
+class TestCodesDtype:
+    """Encoded codes take the narrowest unsigned dtype that holds every
+    alphabet index: one byte per symbol up to T = 256."""
+
+    @pytest.mark.parametrize("alphabet", [DNA, PROTEIN])
+    def test_parsed_codes_are_one_byte(self, alphabet):
+        text = to_fasta(random_sequence(alphabet, 1000, np.random.default_rng(8), id="r"))
+        for given_alphabet in (alphabet, None):
+            (seq,) = parse_fasta(text, given_alphabet)
+            assert seq.codes.dtype == np.uint8
+            assert seq.codes.tolist() == parse_fasta(text, alphabet)[0].codes.tolist()
+
+    @pytest.mark.parametrize(
+        "size, dtype",
+        [(255, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
+    )
+    def test_narrowest_dtype_that_holds_every_index(self, size, dtype):
+        alphabet = _case_stable_alphabet(size)
+        text = "".join(reversed(alphabet.symbols))
+        seq = sequence_from_string(text, alphabet)
+        assert alphabet._lookup.dtype == dtype and seq.codes.dtype == dtype
+        assert seq.codes.tolist() == list(range(size))[::-1]
+        assert seq.as_string() == text
+
+    @pytest.mark.parametrize("size", [255, 256, 257])
+    def test_off_alphabet_characters_beside_the_last_symbol(self, size):
+        # At T = 256 the last symbol's code is the value the table gives
+        # every character off the symbols.
+        alphabet = _case_stable_alphabet(size)
+        last = alphabet.symbols[-1]
+        assert sequence_from_string(last * 3, alphabet).codes.tolist() == [size - 1] * 3
+        for stray in ("!", chr(ord(last) + 1), "\U0010ffff"):
+            with pytest.raises(SequenceError) as exc:
+                sequence_from_string(last + stray + last, alphabet, id="r")
+            assert str(exc.value) == f"character {stray!r} at position 2 of record 'r' is not in alphabet {alphabet}"
+
+    def test_random_sequence_keeps_its_int64_draw(self):
+        # Drawing narrower codes would change numpy's random stream.
+        assert random_sequence(DNA, 10, np.random.default_rng(0)).codes.dtype == np.int64
 
 
 class TestSequenceFromString:
@@ -331,13 +378,17 @@ def test_as_string_matches_per_character_reference(data):
 
 
 def test_codes_are_kept_not_copied():
-    codes = np.array([0, 1, 2, 3])
-    codes.setflags(write=False)
-    assert SymbolicSequence(DNA, codes).codes is codes
-    writable = np.array([0, 1, 2, 3])
-    seq = SymbolicSequence(DNA, writable)
-    writable[0] = 3
-    assert seq.codes[0] == 0 and not seq.codes.flags.writeable
+    for dtype in (np.uint8, np.int8, np.uint16, np.int32, np.uint32, np.int64):
+        codes = np.array([0, 1, 2, 3], dtype=dtype)
+        codes.setflags(write=False)
+        assert SymbolicSequence(DNA, codes).codes is codes
+        writable = np.array([0, 1, 2, 3], dtype=dtype)
+        seq = SymbolicSequence(DNA, writable)
+        writable[0] = 3
+        assert seq.codes[0] == 0 and not seq.codes.flags.writeable and seq.codes.dtype == dtype
+    # numpy does not index with uint64; that and non-integer codes become int64.
+    for codes in (np.array([0, 3], dtype=np.uint64), [0, 3], [0.0, 3.0]):
+        assert SymbolicSequence(DNA, codes).codes.dtype == np.int64
 
 
 def test_random_sequence_is_seed_deterministic():

@@ -189,6 +189,17 @@ class TestNoDenseMatrix:
         assert np.shares_memory(ind.codes, seq.codes)
         assert np.shares_memory(apply_representation(ind, build_helmert(20)).codes, seq.codes)
 
+    def test_one_byte_codes_give_the_same_bits(self):
+        seq = sequence_from_string("".join(np.random.default_rng(6).choice(list("ACGT"), 3001)), DNA)
+        wide = build_indicators(SymbolicSequence(DNA, seq.codes.astype(np.int64)))
+        ind = build_indicators(seq)
+        assert ind.codes.dtype == np.uint8
+        assert spectrum_base(ind).half_power.tobytes() == spectrum_base(wide).half_power.tobytes()
+        for rep in (build_zcurve(), build_tetrahedron()):
+            got = spectrum_transformed(apply_representation(ind, rep))
+            want = spectrum_transformed(apply_representation(wide, rep))
+            assert got.half_power.tobytes() == want.half_power.tobytes()
+
     def test_spectra_peak_below_one_dense_matrix(self):
         size, m = 20, 200_000
         seq = random_sequence(PROTEIN, m, np.random.default_rng(20))
