@@ -4,6 +4,11 @@ Subcommands: analyze (per-representation summary and checks), compare
 (side-by-side table plus SNR ratio lines), verify (identity checks on input
 or seeded random sequences), spectrum (plot-ready per-bin CSV).
 
+Every command runs each input record through one path, ``_spectra``:
+indicators, the base spectrum when a check or the base needs it, then each
+representation's spectrum and, unless only the profile is wanted, its
+identity checks.
+
 Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
 column and written in blocks of rows, never as one string; their bytes are
 those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
@@ -15,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -226,8 +232,52 @@ def _resolve_rep(name: str, alphabet: Alphabet) -> RepresentationMatrix | None:
     raise ValueError(f"unknown representation {name!r}")
 
 
-def _ratio_fields(rc: spectral.RatioCheck) -> dict:
-    """The SNR-ratio check fields of a ``RatioCheck``, as reports print them."""
+def _overflow(name: str, m: int) -> ValueError:
+    return ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
+
+
+def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
+    """The one per-record pass: each representation's spectrum, in the order of *reps*.
+
+    *reps* maps a name to a matrix, None standing for the base. The base
+    spectrum is computed once, first, when a check or the base itself needs
+    it. With *checks*, yields (name, report, total check, ratio fields);
+    otherwise yields each report alone. A representation whose total
+    spectrum d^2*(T-1)/T*m^2 is not a finite float is an error, found
+    before its spectrum is computed when it can be, without a numpy warning.
+    Nothing here keeps a yielded report once the next is asked for, so
+    callers that drop theirs hold only the base while a spectrum is computed.
+    """
+    ind = build_indicators(seq)
+    base = spectral.spectrum_base(ind) if checks or None in reps.values() else None
+    for name, rep in reps.items():
+        if rep is None:
+            report = base
+        elif not math.isfinite(rep.d * rep.d * (rep.size - 1) / rep.size * float(seq.m) ** 2):
+            raise _overflow(name, seq.m)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # judged by the total below
+                report = spectral.spectrum_transformed(apply_representation(ind, rep))
+            if not math.isfinite(report.total):
+                raise _overflow(name, seq.m)
+        if checks:
+            total = spectral.verify_total_spectrum(ind, report=report)
+            yield name, report, total, _ratio(ind, rep, base, report)
+        else:
+            yield report
+        del report  # not held while the next spectrum is computed
+
+
+def _ratio(ind, rep: RepresentationMatrix | None, base, report) -> dict:
+    """The SNR-ratio check of *report* against *base*, as reports print it.
+
+    Only its scalar fields are kept. The base against itself has the
+    reference ratio 1 at every bin.
+    """
+    if rep is None:
+        return {"expected": 1.0, "max_dev": 0.0, "checked_bins": ind.m - 1, "skipped_bins": 0,
+                "vacuous": False, "pass": True}
+    rc = spectral.snr_ratio_check(ind, rep, base=base, transformed=report)
     return {
         "expected": rc.expected,
         "max_dev": None if rc.vacuous else rc.max_deviation,
@@ -243,41 +293,22 @@ def _analyses(args, rep_names, keep_reports: bool = False):
 
     Returns the sequence, its input label, one (entry, report) pair per
     representation, the notes and the exit status: 0 when every identity
-    check passes, 1 otherwise. The base spectrum is computed once, and a
-    representation named twice is analysed once. Each report is dropped
-    once its entry is made (None in its pair), unless *keep_reports* asks
-    for it to render a per-bin profile; the base report lives until the
-    last ratio check.
+    check passes, 1 otherwise. A representation named twice is analysed
+    once. Each report is dropped once its entry is made (None in its pair),
+    unless *keep_reports* asks for it to render a per-bin profile; the base
+    report lives until the last ratio check.
     """
     seq, label = _load_single(args)
-    ind = build_indicators(seq)
-    base = spectral.spectrum_base(ind)
+    reps = {name: _resolve_rep(name, seq.alphabet) for name in rep_names}  # a repeated --rep once
     by_name, passed = {}, []
-    for rep_name in dict.fromkeys(rep_names):
-        rep = _resolve_rep(rep_name, seq.alphabet)
-        if rep is None:
-            report = base
-            # Base against itself: the reference ratio is identically 1.
-            ratio = {
-                "expected": 1.0, "max_dev": 0.0,
-                "checked_bins": seq.m - 1, "skipped_bins": 0,
-                "vacuous": False, "pass": True,
-            }
-        else:
-            report = spectral.spectrum_transformed(apply_representation(ind, rep))
-            ratio = _ratio_fields(spectral.snr_ratio_check(ind, rep, base=base, transformed=report))
-        total = spectral.verify_total_spectrum(ind, report=report)
-        if args.period > seq.m:
-            peak = None
-        else:
-            pk = spectral.periodicity_query(report, args.period)
-            peak = {"k": pk.k, "exact": pk.exact, "power": pk.power, "snr": pk.snr}
+    for rep_name, report, total, ratio in _spectra(seq, reps):
+        pk = None if args.period > seq.m else spectral.periodicity_query(report, args.period)
         entry = {
             "name": report.representation,
             "d": report.d,
             "total": report.total,
             "mean_noise": report.mean_noise,
-            "peak": peak,
+            "peak": None if pk is None else {"k": pk.k, "exact": pk.exact, "power": pk.power, "snr": pk.snr},
             "theorem_checks": {
                 "total_spectrum": {
                     "expected": total.expected,
@@ -478,19 +509,17 @@ def cmd_compare(args) -> int:
     amplification = [entry["theorem_checks"]["snr_ratio"]["expected"] for entry, _ in analyses]
     ref = methods[0]
     ref_snr = ref["periodicity_snr"]
+    indeterminate = ref_snr is None or ref_snr <= spectral.BASE_SNR_FLOOR
     ratios = []
     for method, amp in zip(methods[1:], amplification[1:]):
-        if ref_snr is None or ref_snr <= spectral.BASE_SNR_FLOOR:
-            measured = None
-        else:
-            measured = method["periodicity_snr"] / ref_snr
+        measured = None if indeterminate else method["periodicity_snr"] / ref_snr
         ratios.append(
             {
                 "method": method["method"],
                 "reference": ref["method"],
                 "measured": measured,
                 "theoretical": amp / amplification[0],
-                "indeterminate": measured is None,
+                "indeterminate": indeterminate,
             }
         )
 
@@ -570,16 +599,17 @@ def cmd_verify(args) -> int:
             "verify checks channel transforms against the implicit base representation; "
             "--rep base is not a transform"
         )
-    reps = {name: _resolve_rep(name, alphabet) for name in rep_names}  # a repeated --rep once
+    # The base first, for its total check; a repeated --rep once.
+    reps = {"base": None, **{name: _resolve_rep(name, alphabet) for name in rep_names}}
 
-    results = []
+    results, n_pass = [], 0
     for i, seq in enumerate(seqs):
-        ind = build_indicators(seq)
-        base = spectral.spectrum_base(ind)
-        tot = spectral.verify_total_spectrum(ind, report=base)
-        ratios = {
-            name: _ratio_fields(spectral.snr_ratio_check(ind, rep, base=base)) for name, rep in reps.items()
-        }
+        checks = {}
+        for name, report, total, ratio in _spectra(seq, reps):
+            checks[name] = total, ratio
+            del report  # not held while the next spectrum is computed
+        tot = checks.pop("base")[0]
+        n_pass += tot.passed() and all(ratio["pass"] for _, ratio in checks.values())
         results.append(
             {
                 "id": seq.id or f"record-{i:03d}",
@@ -590,14 +620,10 @@ def cmd_verify(args) -> int:
                     "relative_error": tot.relative_error,
                     "pass": tot.passed(),
                 },
-                "snr_ratio": [{"representation": name, **ratios[name]} for name in rep_names],
+                "snr_ratio": [{"representation": name, **checks[name][1]} for name in rep_names],
             }
         )
 
-    n_pass = sum(
-        1 for r in results
-        if r["total_spectrum"]["pass"] and all(s["pass"] for s in r["snr_ratio"])
-    )
     all_pass = n_pass == len(results)
 
     if args.format == "json":
@@ -662,12 +688,7 @@ def cmd_spectrum(args) -> int:
     rep_names = args.reps or ["base"]
     if len(rep_names) != 1:
         raise ValueError("spectrum needs exactly one --rep selection")
-    rep = _resolve_rep(rep_names[0], seq.alphabet)
-    ind = build_indicators(seq)
-    if rep is None:
-        report = spectral.spectrum_base(ind)
-    else:
-        report = spectral.spectrum_transformed(apply_representation(ind, rep))
+    report = next(_spectra(seq, {rep_names[0]: _resolve_rep(rep_names[0], seq.alphabet)}, checks=False))
 
     if args.format == "json":
         fields = {"input": label, "record": seq.id, "m": report.m, "representation": report.representation}

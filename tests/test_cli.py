@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import symspec
-from symspec import build_zcurve, cli, save_matrix, spectral
+from symspec import build_helmert, build_zcurve, cli, save_matrix, spectral, validate_row_orthogonal
 from symspec.cli import _write_profile_csv, _write_profile_json, main
 
 
@@ -405,6 +405,15 @@ class TestSpectraComputedOnce:
         assert code == 0, err
         assert calls == {"base": 2, "transformed": 6}
 
+    @pytest.mark.parametrize(
+        "rep, expected", [("base", {"base": 1, "transformed": 0}), ("zcurve", {"base": 0, "transformed": 1})]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_computes_only_its_own(self, run, calls, rep, expected, fmt):
+        code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=">x\nACGTTGCAACGG\n")
+        assert code == 0, err
+        assert calls == expected
+
 
 class TestRatioChecksKeepTheirHalf:
     """The CLI reads only the scalar fields of each RatioCheck, so it never
@@ -477,6 +486,72 @@ class TestSpectrum:
         obj = json.loads(out)
         assert obj["k"] == [1, 2, 3]
         assert obj["power"] == [pytest.approx(4.0)] * 3
+
+
+OVERFLOW_ARGV = {
+    "analyze-text": ["analyze"],
+    "analyze-json": ["analyze", "--format", "json"],
+    "analyze-csv": ["analyze", "--format", "csv"],
+    "compare-text": ["compare", "--rep", "base"],
+    "compare-json": ["compare", "--rep", "base", "--format", "json"],
+    "compare-csv": ["compare", "--rep", "base", "--format", "csv"],
+    "verify-text": ["verify"],
+    "verify-json": ["verify", "--format", "json"],
+    "spectrum-text": ["spectrum"],
+    "spectrum-csv": ["spectrum", "--format", "csv"],
+    "spectrum-json": ["spectrum", "--format", "json"],
+}
+
+# (input, m, rows). Before: d^2*(T-1)/T*m^2 overflows; zcurve's rows times
+# 1e153 (d = 2e153). After: d^2*(T-1)/T*m^2 is float64's largest value, but
+# the measured total rounds above it; Helmert's rows scaled to that d.
+OVERFLOW_BEFORE = (">x\nACGTTGCAACGGTAC\n", 15, build_zcurve().rows * 1e153)
+OVERFLOW_AFTER = (
+    ">x\nTGGCCAAAATGTGGTGGGGT\n", 20, build_helmert(4).rows * math.sqrt(np.finfo(float).max / (0.75 * 20**2))
+)
+
+
+def _overflowing_matrix(path, rows):
+    save_matrix(validate_row_orthogonal(rows, name="huge"), path)
+    return f"file:{path}"
+
+
+class TestTotalSpectrumOverflow:
+    """A matrix that passes validation but whose total spectrum overflows
+    float64 at the input's m exits 2, naming the representation and m,
+    before anything is written and without a numpy warning (tier-1 turns
+    RuntimeWarning into an error). It is caught before its spectrum is
+    computed when d^2*(T-1)/T*m^2 overflows, and after, from the measured
+    total, when only the rounding of the sum does."""
+
+    @pytest.mark.parametrize("case, computed", [(OVERFLOW_BEFORE, 0), (OVERFLOW_AFTER, 1)], ids=["before", "after"])
+    @pytest.mark.parametrize("key", OVERFLOW_ARGV)
+    def test_exits_2_with_nothing_written(self, run, monkeypatch, tmp_path, key, case, computed):
+        text, m, rows = case
+        rep = _overflowing_matrix(tmp_path / "huge.json", rows)
+        calls = []
+        transformed = spectral.spectrum_transformed
+        monkeypatch.setattr(spectral, "spectrum_transformed", lambda sig: calls.append(sig) or transformed(sig))
+        code, out, err = run(OVERFLOW_ARGV[key] + ["--rep", rep], stdin_text=text)
+        assert (code, out) == (2, "")
+        assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
+        assert len(calls) == computed
+
+    @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
+    def test_entry_process_prints_one_line(self, tmp_path, case):
+        text, m, rows = case
+        rep = _overflowing_matrix(tmp_path / "huge.json", rows)
+        (tmp_path / "x.fa").write_text(text)
+        out_path = tmp_path / "out.txt"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "symspec", "analyze", "--rep", rep,
+             "--input", str(tmp_path / "x.fa"), "--output", str(out_path)],
+            env={**os.environ, "PYTHONPATH": str(Path(symspec.__file__).parents[1])},
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
+        assert not out_path.exists()
 
 
 def _report(half_power, m, mean_noise, name="hand"):
@@ -666,8 +741,33 @@ class TestMallocTuning:
 
 class TestReportsKeptForProfilesOnly:
     """analyze keeps each report only to render per-bin profiles (--format
-    csv); otherwise a report is dropped once its entry is made, and the base
-    report lives until the last ratio check."""
+    csv), and spectrum its one report; otherwise a report is dropped once
+    its entry is made, and the base report lives until the last ratio check
+    of its record."""
+
+    @staticmethod
+    def _track(monkeypatch):
+        """Weak references to each report made, and which of them are alive
+        when each spectrum starts and when the output is opened."""
+        reports, alive = [], []
+
+        def tracking(fn):
+            def wrapped(*args, **kwargs):
+                alive.append([ref() is not None for ref in reports])
+                report = fn(*args, **kwargs)
+                reports.append(weakref.ref(report))
+                return report
+            return wrapped
+
+        def output(args):
+            alive.append([ref() is not None for ref in reports])
+            return original_output(args)
+
+        original_output = cli._output
+        monkeypatch.setattr(spectral, "spectrum_base", tracking(spectral.spectrum_base))
+        monkeypatch.setattr(spectral, "spectrum_transformed", tracking(spectral.spectrum_transformed))
+        monkeypatch.setattr(cli, "_output", output)
+        return alive
 
     @pytest.mark.parametrize(
         "argv, kept",
@@ -681,22 +781,29 @@ class TestReportsKeptForProfilesOnly:
         ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv"],
     )
     def test_reports_alive_when_each_spectrum_starts(self, run, monkeypatch, argv, kept):
-        reports, alive = [], []
-
-        def tracking(fn):
-            def wrapped(*args, **kwargs):
-                alive.append([ref() is not None for ref in reports])
-                report = fn(*args, **kwargs)
-                reports.append(weakref.ref(report))
-                return report
-            return wrapped
-
-        monkeypatch.setattr(spectral, "spectrum_base", tracking(spectral.spectrum_base))
-        monkeypatch.setattr(spectral, "spectrum_transformed", tracking(spectral.spectrum_transformed))
+        alive = self._track(monkeypatch)
         reps = ["--rep=base", "--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
         code, _, err = run(argv + reps, stdin_text=DNA_TEXT)
         assert code == 0, err
-        assert alive == [[], [True], [True, kept], [True, kept, kept]]
+        assert alive == [[], [True], [True, kept], [True, kept, kept], [kept] * 4]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_drops_each_transformed_report(self, run, monkeypatch, fmt):
+        alive = self._track(monkeypatch)
+        reps = ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
+        code, _, err = run(["verify", "--format", fmt, *reps], stdin_text=DNA_TEXT + ">y\nGGCATTACA\n")
+        assert code == 0, err
+        first = [[], [True], [True, False], [True, False, False]]
+        second = [[False] * 4 + row for row in first]
+        assert alive == first + second + [[False] * 8]
+
+    @pytest.mark.parametrize("rep", ["base", "zcurve"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_keeps_its_one_report(self, run, monkeypatch, rep, fmt):
+        alive = self._track(monkeypatch)
+        code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=DNA_TEXT)
+        assert code == 0, err
+        assert alive == [[], [True]]
 
 
 class TestAnalyzeBytesPerSymbol:
