@@ -11,93 +11,12 @@ All public types are immutable and all operations are pure functions, so
 everything here is safe to use from concurrent code.
 """
 
-from .sequences import (
-    DNA,
-    PROTEIN,
-    Alphabet,
-    SequenceError,
-    SymbolicSequence,
-    default_alphabet,
-    parse_fasta,
-    random_sequence,
-    sequence_from_string,
-    to_fasta,
-)
-from .representations import (
-    IndicatorMatrix,
-    MatrixError,
-    RepresentationMatrix,
-    TransformedSignal,
-    apply_representation,
-    build_helmert,
-    build_indicators,
-    build_tetrahedron,
-    build_zcurve,
-    cumulative_coordinates,
-    load_matrix,
-    matrix_from_dict,
-    matrix_to_dict,
-    save_matrix,
-    validate_row_orthogonal,
-)
-from .spectral import (
-    BASE_SNR_FLOOR,
-    DFT_MATCH_TOL,
-    IDENTITY_RTOL,
-    PeriodicityPeak,
-    RatioCheck,
-    SpectrumReport,
-    TotalSpectrumCheck,
-    dft_fast,
-    dft_naive,
-    periodicity_query,
-    snr_ratio_check,
-    spectrum_base,
-    spectrum_transformed,
-    verify_total_spectrum,
-)
+from . import representations, sequences, spectral
+from .sequences import *
+from .representations import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "SymbolicSequence",
-    "SequenceError",
-    "DNA",
-    "PROTEIN",
-    "default_alphabet",
-    "parse_fasta",
-    "sequence_from_string",
-    "to_fasta",
-    "random_sequence",
-    "IndicatorMatrix",
-    "RepresentationMatrix",
-    "TransformedSignal",
-    "MatrixError",
-    "build_indicators",
-    "validate_row_orthogonal",
-    "build_zcurve",
-    "build_tetrahedron",
-    "build_helmert",
-    "apply_representation",
-    "cumulative_coordinates",
-    "matrix_to_dict",
-    "matrix_from_dict",
-    "save_matrix",
-    "load_matrix",
-    "SpectrumReport",
-    "TotalSpectrumCheck",
-    "RatioCheck",
-    "PeriodicityPeak",
-    "dft_naive",
-    "dft_fast",
-    "spectrum_base",
-    "spectrum_transformed",
-    "snr_ratio_check",
-    "verify_total_spectrum",
-    "periodicity_query",
-    "IDENTITY_RTOL",
-    "DFT_MATCH_TOL",
-    "BASE_SNR_FLOOR",
-    "__version__",
-]
+# Each submodule's __all__ is the one list of its public names.
+__all__ = [*sequences.__all__, *representations.__all__, *spectral.__all__, "__version__"]

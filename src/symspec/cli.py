@@ -6,8 +6,9 @@ or seeded random sequences), spectrum (plot-ready per-bin CSV).
 
 Every command runs each input record through one path, ``_spectra``:
 indicators, the base spectrum when a check or the base needs it, then each
-representation's spectrum and, unless only the profile is wanted, its
-identity checks.
+representation's spectrum, its total check, which also judges overflow,
+and, unless only the profile is wanted, its SNR-ratio check. A
+representation passes when both of its checks pass (``_passed``).
 
 Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
 column and written in blocks of rows, never as one string; their bytes are
@@ -232,40 +233,36 @@ def _resolve_rep(name: str, alphabet: Alphabet) -> RepresentationMatrix | None:
     raise ValueError(f"unknown representation {name!r}")
 
 
-def _overflow(name: str, m: int) -> ValueError:
-    return ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
-
-
 def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
     """The one per-record pass: each representation's spectrum, in the order of *reps*.
 
     *reps* maps a name to a matrix, None standing for the base. The base
     spectrum is computed once, first, when a check or the base itself needs
-    it. With *checks*, yields (name, report, total check, ratio fields);
-    otherwise yields each report alone. A representation whose total
-    spectrum d^2*(T-1)/T*m^2 is not a finite float is an error, found
-    before its spectrum is computed when it can be, without a numpy warning.
-    Nothing here keeps a yielded report once the next is asked for, so
-    callers that drop theirs hold only the base while a spectrum is computed.
+    it. Yields (name, report, total check, ratio fields), the ratio fields
+    None without *checks*. A representation whose total check finds the
+    expected or the measured total not a finite float is an error, raised
+    without a numpy warning. Nothing here keeps a yielded report once the
+    next is asked for, so callers that drop theirs hold only the base while
+    a spectrum is computed.
     """
     ind = build_indicators(seq)
     base = spectral.spectrum_base(ind) if checks or None in reps.values() else None
     for name, rep in reps.items():
         if rep is None:
             report = base
-        elif not math.isfinite(rep.d * rep.d * (rep.size - 1) / rep.size * float(seq.m) ** 2):
-            raise _overflow(name, seq.m)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # judged by the total below
+            with np.errstate(over="ignore", invalid="ignore"):  # judged by the total check below
                 report = spectral.spectrum_transformed(apply_representation(ind, rep))
-            if not math.isfinite(report.total):
-                raise _overflow(name, seq.m)
-        if checks:
-            total = spectral.verify_total_spectrum(ind, report=report)
-            yield name, report, total, _ratio(ind, rep, base, report)
-        else:
-            yield report
+        total = spectral.verify_total_spectrum(ind, report=report)
+        if not (math.isfinite(total.expected) and math.isfinite(total.measured)):
+            raise ValueError(f"representation {name!r} at m = {seq.m}: its total spectrum overflows float64")
+        yield name, report, total, _ratio(ind, rep, base, report) if checks else None
         del report  # not held while the next spectrum is computed
+
+
+def _passed(total: spectral.TotalSpectrumCheck, ratio: dict) -> bool:
+    """One representation's verdict: its total spectrum and its SNR ratios pass."""
+    return total.passed() and ratio["pass"]
 
 
 def _ratio(ind, rep: RepresentationMatrix | None, base, report) -> dict:
@@ -319,7 +316,7 @@ def _analyses(args, rep_names, keep_reports: bool = False):
             },
         }
         by_name[rep_name] = (entry, report if keep_reports else None)
-        passed.append(total.passed() and ratio["pass"])
+        passed.append(_passed(total, ratio))
         del report  # not held while the next spectrum is computed
 
     notes = [_TOTALS_NOTE]
@@ -608,8 +605,8 @@ def cmd_verify(args) -> int:
         for name, report, total, ratio in _spectra(seq, reps):
             checks[name] = total, ratio
             del report  # not held while the next spectrum is computed
+        n_pass += all(_passed(*check) for check in checks.values())
         tot = checks.pop("base")[0]
-        n_pass += tot.passed() and all(ratio["pass"] for _, ratio in checks.values())
         results.append(
             {
                 "id": seq.id or f"record-{i:03d}",
@@ -688,7 +685,7 @@ def cmd_spectrum(args) -> int:
     rep_names = args.reps or ["base"]
     if len(rep_names) != 1:
         raise ValueError("spectrum needs exactly one --rep selection")
-    report = next(_spectra(seq, {rep_names[0]: _resolve_rep(rep_names[0], seq.alphabet)}, checks=False))
+    report = next(_spectra(seq, {rep_names[0]: _resolve_rep(rep_names[0], seq.alphabet)}, checks=False))[1]
 
     if args.format == "json":
         fields = {"input": label, "record": seq.id, "m": report.m, "representation": report.representation}

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import symspec as ss
-from conftest import dft_max_deviation
+from conftest import child_env, dft_max_deviation
 
 SEED = 20250809
 M_RANGE = (1, 2000)
@@ -212,6 +212,7 @@ def _run_cli(argv, stdin_text=""):
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 

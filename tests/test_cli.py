@@ -1,6 +1,7 @@
 import argparse
 import ctypes
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,14 +12,13 @@ import sys
 import tracemalloc
 import types
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import symspec
 from symspec import build_helmert, build_zcurve, cli, save_matrix, spectral, validate_row_orthogonal
 from symspec.cli import _write_profile_csv, _write_profile_json, main
+from conftest import child_env
 
 
 @pytest.fixture
@@ -288,6 +288,27 @@ class TestVerify:
         assert out == ""
         assert "positive count" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_failed_transform_total_fails_its_record(self, run, monkeypatch, fmt):
+        """verify judges each representation it computes, the base and every
+        transform, by its total and its SNR ratios, as analyze does."""
+        checked = spectral.verify_total_spectrum
+
+        def transforms_fail(ind, *, report=None):
+            check = checked(ind, report=report)
+            return check if report.d is None else dataclasses.replace(check, relative_error=1.0)
+
+        monkeypatch.setattr(spectral, "verify_total_spectrum", transforms_fail)
+        code, out, _ = run(["verify", "--random", "3", "--seed", "3", "--format", fmt])
+        assert code == 1
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["all_pass"] is False
+            # What the report shows still passes: the base total and the ratios.
+            assert all(r["total_spectrum"]["pass"] for r in obj["results"])
+        else:
+            assert "result: FAIL (0/3 sequences)" in out
+
 
 _ONE_OF_EACH_COMMAND = {
     "analyze": ["analyze", "--format", "json"],
@@ -520,13 +541,14 @@ class TestTotalSpectrumOverflow:
     """A matrix that passes validation but whose total spectrum overflows
     float64 at the input's m exits 2, naming the representation and m,
     before anything is written and without a numpy warning (tier-1 turns
-    RuntimeWarning into an error). It is caught before its spectrum is
-    computed when d^2*(T-1)/T*m^2 overflows, and after, from the measured
-    total, when only the rounding of the sum does."""
+    RuntimeWarning into an error). The one verdict is the representation's
+    total check: its spectrum is computed once, and refused when the
+    identity d^2*(T-1)/T*m^2 ("before") or, when only the rounding of the
+    sum overflows, the measured total ("after") is not a finite float."""
 
-    @pytest.mark.parametrize("case, computed", [(OVERFLOW_BEFORE, 0), (OVERFLOW_AFTER, 1)], ids=["before", "after"])
+    @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
     @pytest.mark.parametrize("key", OVERFLOW_ARGV)
-    def test_exits_2_with_nothing_written(self, run, monkeypatch, tmp_path, key, case, computed):
+    def test_exits_2_with_nothing_written(self, run, monkeypatch, tmp_path, key, case):
         text, m, rows = case
         rep = _overflowing_matrix(tmp_path / "huge.json", rows)
         calls = []
@@ -535,7 +557,7 @@ class TestTotalSpectrumOverflow:
         code, out, err = run(OVERFLOW_ARGV[key] + ["--rep", rep], stdin_text=text)
         assert (code, out) == (2, "")
         assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
-        assert len(calls) == computed
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
     def test_entry_process_prints_one_line(self, tmp_path, case):
@@ -546,7 +568,7 @@ class TestTotalSpectrumOverflow:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-m", "symspec", "analyze", "--rep", rep,
              "--input", str(tmp_path / "x.fa"), "--output", str(out_path)],
-            env={**os.environ, "PYTHONPATH": str(Path(symspec.__file__).parents[1])},
+            env=child_env(),
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -721,7 +743,7 @@ class TestMallocTuning:
         path = _fasta_file(tmp_path / "dna.fa", b"ACGT", 500_000)
         argv = ["analyze", "--input", str(path), "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron",
                 "--format", "json"]
-        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env = child_env()
         children = {
             "entry": ["-m", "symspec"],
             "main": ["-c", "import sys; from symspec.cli import main; sys.exit(main(sys.argv[1:]))"],
@@ -868,9 +890,7 @@ def test_analyze_peak_rss_above_an_import(tmp_path):
     symspec.cli: the one-byte codes, two half spectra and one FFT row in
     flight (about 32 B/symbol)."""
     path = _fasta_file(tmp_path / "dna.fa", b"ACGT", 1_000_000)
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-    env.update(PYTHONPATH=str(Path(symspec.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def peak_kib(*argv):
         out = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, sys.executable, *argv],

@@ -28,6 +28,7 @@ import pytest
 
 from symspec import build_zcurve, save_matrix, validate_row_orthogonal
 from symspec.cli import build_parser, main
+from conftest import child_env
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
 INLINE_BYTES = 4096  # stdout up to this size is stored verbatim
@@ -229,6 +230,7 @@ def test_entry_process_matches_golden(cid, golden):
         [sys.executable, "-m", "symspec", *argv],
         input=INPUTS[inp].encode() if inp else b"",
         capture_output=True,
+        env=child_env(),
     )
     assert record(proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == golden[cid]
 
