@@ -14,6 +14,9 @@ Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
 column and written in blocks of rows, never as one string; their bytes are
 those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
 k = 1 .. m//2 of each column are formatted and the strings mirrored.
+``verify`` holds one record at a time: each is rendered, to its text line
+or its JSON item, as soon as its checks finish, and only those strings are
+kept until the output is written.
 """
 from __future__ import annotations
 
@@ -137,7 +140,7 @@ def _tune_malloc() -> None:
     rows, rfft outputs, pocketfft's scratch) are unmapped or trimmed when
     freed and faulted back in by the next batch of rows. Does nothing where
     the C library has no mallopt or malloc_trim, or refuses the settings;
-    _output() hands the kept memory back before anything is rendered.
+    _output() hands the kept memory back before anything is written.
     """
     global _tuned_libc
     import ctypes  # numpy has loaded it already
@@ -176,6 +179,40 @@ def _write(args, text: str) -> None:
         text += "\n"
     with _output(args) as out:
         out.write(text)
+
+
+def _blocks(items):
+    """Consecutive lists of up to _BLOCK_ITEMS items."""
+    items = iter(items)
+    while block := list(islice(items, _BLOCK_ITEMS)):
+        yield block
+
+
+def _write_json(args, fields: dict, arrays: dict | None = None) -> None:
+    """*fields* and *arrays* as one object, as ``json.dumps(indent=2, sort_keys=True)``
+    writes it. Each array is a callable returning its items as JSON text
+    indented for depth 2; it is called just before the array is written."""
+    arrays = arrays or {}
+    with _output(args) as out:
+        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
+            out.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+            if key in fields:
+                out.write(_json_text(fields[key]).replace("\n", "\n  "))
+            else:
+                _write_json_array(out, arrays[key]())
+        out.write("\n}\n")
+
+
+def _write_json_array(out, strings: list[str]) -> None:
+    """Formatted items as a JSON array at depth 1 of ``json.dumps(indent=2)``."""
+    if not strings:
+        out.write("[]")
+        return
+    sep = ",\n    "
+    out.write("[\n    ")
+    for j, block in enumerate(_blocks(strings)):
+        out.write((sep if j else "") + sep.join(block))
+    out.write("\n  ]")
 
 
 def _check_period(args) -> None:
@@ -339,7 +376,7 @@ def _write_analysis_json(args, seq, label, notes, **fields) -> None:
         "alphabet": str(seq.alphabet),
         "period": args.period,
     }
-    _write(args, _json_text({**head, **fields, "notes": notes}))
+    _write_json(args, {**head, **fields, "notes": notes})
 
 
 # -- per-bin profiles --------------------------------------------------------
@@ -369,13 +406,6 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _blocks(items):
-    """Consecutive lists of up to _BLOCK_ITEMS items."""
-    items = iter(items)
-    while block := list(islice(items, _BLOCK_ITEMS)):
-        yield block
-
-
 def _write_profile_csv(args, named_reports, with_rep_column: bool) -> None:
     """One CSV row per bin k = 1 .. m-1 of each report; the reports share m,
     so k and frequency are formatted once."""
@@ -399,32 +429,12 @@ def _write_profile_json(args, fields: dict, report) -> None:
     ``json.dumps(indent=2, sort_keys=True)`` writes them. Each array is
     formatted just before it is written."""
     m = report.m
-    arrays = {
+    _write_json(args, fields, {
         "k": lambda: list(map(str, range(1, m))),
         "frequency": lambda: _float_strings(np.arange(1, m) / m),
         "power": lambda: _profile_strings(report.half_power, m, for_json=True),
         "snr": lambda: _profile_strings(report.half_power / report.mean_noise, m, for_json=True),
-    }
-    with _output(args) as out:
-        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
-            out.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-            if key in fields:
-                out.write(json.dumps(fields[key]))
-            else:
-                _write_json_array(out, arrays[key]())
-        out.write("\n}\n")
-
-
-def _write_json_array(out, strings: list[str]) -> None:
-    """Formatted items as a JSON array at depth 1 of ``json.dumps(indent=2)``."""
-    if not strings:
-        out.write("[]")
-        return
-    sep = ",\n    "
-    out.write("[\n    ")
-    for j, block in enumerate(_blocks(strings)):
-        out.write((sep if j else "") + sep.join(block))
-    out.write("\n  ]")
+    })
 
 
 # -- analyze -----------------------------------------------------------------
@@ -575,17 +585,20 @@ def cmd_verify(args) -> int:
     if args.random is not None:
         if args.random < 1:
             raise ValueError(f"--random needs a positive count, got {args.random}")
+        if seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         alphabet = default_alphabet(4 if args.alphabet_size is None else args.alphabet_size)
         rng = np.random.default_rng(seed)
         lo, hi = _RANDOM_M_RANGE
-        seqs = [
+        count, label = args.random, None
+        # Each drawn just before its checks, in the seeded order: its m, then its codes.
+        seqs = (
             random_sequence(alphabet, int(rng.integers(lo, hi + 1)), rng, id=f"random-{i:03d}")
-            for i in range(args.random)
-        ]
-        label = None
+            for i in range(count)
+        )
     else:
         seqs, label = _load_many(args)
-        alphabet = seqs[0].alphabet
+        count, alphabet = len(seqs), seqs[0].alphabet
 
     rep_names = args.reps
     if not rep_names:
@@ -599,17 +612,18 @@ def cmd_verify(args) -> int:
     # The base first, for its total check; a repeated --rep once.
     reps = {"base": None, **{name: _resolve_rep(name, alphabet) for name in rep_names}}
 
-    results, n_pass = [], 0
+    # Each record's JSON item or text line, rendered as soon as its checks finish.
+    rendered, n_pass = [], 0
     for i, seq in enumerate(seqs):
         checks = {}
         for name, report, total, ratio in _spectra(seq, reps):
             checks[name] = total, ratio
             del report  # not held while the next spectrum is computed
         n_pass += all(_passed(*check) for check in checks.values())
-        tot = checks.pop("base")[0]
-        results.append(
-            {
-                "id": seq.id or f"record-{i:03d}",
+        tot, record = checks["base"][0], seq.id or f"record-{i:03d}"
+        if args.format == "json":
+            item = {
+                "id": record,
                 "m": seq.m,
                 "total_spectrum": {
                     "expected": tot.expected,
@@ -619,58 +633,48 @@ def cmd_verify(args) -> int:
                 },
                 "snr_ratio": [{"representation": name, **checks[name][1]} for name in rep_names],
             }
-        )
+            rendered.append(_json_text(item).replace("\n", "\n    "))
+        else:
+            parts = [f"total-spectrum {_passfail(tot.passed())} (rel err {tot.relative_error:.3g})"]
+            for name in rep_names:
+                total, sr = checks[name]
+                if sr["vacuous"] and total.passed():
+                    parts.append(f"{name} PASS vacuous (no nonzero base bins)")
+                    continue
+                detail = "vacuous: no nonzero base bins" if sr["vacuous"] else f"max dev {sr['max_dev']:.3g}"
+                if not total.passed():
+                    detail = f"total rel err {total.relative_error:.3g}, {detail}"
+                parts.append(f"{name} {_passfail(_passed(total, sr))} ({detail})")
+            rendered.append(f"{record} (m = {seq.m}): " + " | ".join(parts))
 
-    all_pass = n_pass == len(results)
+    all_pass = n_pass == count
 
     if args.format == "json":
-        obj = {
+        fields = {
             "command": "verify",
             "mode": "input" if args.random is None else "random",
-            "count": len(seqs),
+            "count": count,
             "alphabet": str(alphabet),
             "alphabet_size": alphabet.size,
             "representations": list(rep_names),
             "tolerance": tol,
-            "results": results,
             "all_pass": all_pass,
         }
         if args.random is not None:
-            obj["seed"] = seed
-            obj["m_range"] = list(_RANDOM_M_RANGE)
+            fields["seed"] = seed
+            fields["m_range"] = list(_RANDOM_M_RANGE)
         else:
-            obj["input"] = label
-        _write(args, _json_text(obj))
+            fields["input"] = label
+        _write_json(args, fields, {"results": lambda: rendered})
     else:
-        lines = []
         if args.random is not None:
-            lines.append(
-                f"verify: {len(seqs)} random sequences over {alphabet} "
-                f"(T = {alphabet.size}), seed = {seed}, m in [{lo}, {hi}]"
-            )
+            head = (f"verify: {count} random sequences over {alphabet} "
+                    f"(T = {alphabet.size}), seed = {seed}, m in [{lo}, {hi}]")
         else:
-            lines.append(
-                f"verify: {len(seqs)} sequence(s) from {label} over {alphabet} (T = {alphabet.size})"
-            )
-        lines.append(
-            "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative"
-        )
-        lines.append("")
-        for r in results:
-            parts = [
-                f"total-spectrum {_passfail(r['total_spectrum']['pass'])}"
-                f" (rel err {r['total_spectrum']['relative_error']:.3g})"
-            ]
-            for s in r["snr_ratio"]:
-                if s["vacuous"]:
-                    parts.append(f"{s['representation']} PASS vacuous (no nonzero base bins)")
-                else:
-                    parts.append(
-                        f"{s['representation']} {_passfail(s['pass'])} (max dev {s['max_dev']:.3g})"
-                    )
-            lines.append(f"{r['id']} (m = {r['m']}): " + " | ".join(parts))
-        lines.append("")
-        lines.append(f"result: {_passfail(all_pass)} ({n_pass}/{len(seqs)} sequences)")
+            head = f"verify: {count} sequence(s) from {label} over {alphabet} (T = {alphabet.size})"
+        lines = [head, "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative", ""]
+        lines += rendered
+        lines += ["", f"result: {_passfail(all_pass)} ({n_pass}/{count} sequences)"]
         _write(args, "\n".join(lines))
 
     return 0 if all_pass else 1

@@ -68,12 +68,15 @@ DFT_MATCH_TOL = 1e-9   # per-bin fast-vs-naive tolerance (relative, floor 1e-9)
 BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 
 # Samples (rows x m) per batch of rows gathered by _power: from m > 2**19 a
-# batch is one row. Measured with numpy 2.4 at m = 1e6: numpy builds a new
-# rfft plan on every call, about 10 ms or some 40 % of a one-row call; one
-# row in flight holds about 32 B/sample (the input, the half-length complex
-# output, the plan's twiddles and scratch); and a length with a large prime
-# factor costs about 12x the time and 5x the memory per row (m = 999 983:
-# 372 ms and 153 MiB in flight, against 30 ms and 31 MiB at m = 1e6).
+# batch is one row. Measured with numpy 2.4 at m = 1e6, glibc's malloc tuned
+# as cli.entry() tunes it: numpy builds a new rfft plan on every call, and a
+# one-row call took 16-19 ms against 12-13 ms per row in a two-row call, yet
+# 2**21 (two rows per call) raised the peak RSS of a three-rep DNA analyze
+# from 74 to 112 MB with no end-to-end speed-up. One row in flight holds
+# about 32 B/sample (the input, the half-length complex output, the plan's
+# twiddles and scratch); and a length with a large prime factor costs about
+# 18x the time and 5x the memory per row (m = 999 983: 310 ms and 153 MiB
+# in flight, against 17 ms and 31 MiB at m = 1e6).
 _BLOCK_BINS = 2**20
 
 

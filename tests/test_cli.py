@@ -288,6 +288,11 @@ class TestVerify:
         assert out == ""
         assert "positive count" in err
 
+    def test_rejects_negative_seed_before_drawing(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "random_sequence", None)  # any draw would raise TypeError
+        code, out, err = run(["verify", "--random", "2", "--seed", "-1"])
+        assert (code, out, err) == (2, "", "symspec: error: --seed must be a non-negative integer, got -1\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_failed_transform_total_fails_its_record(self, run, monkeypatch, fmt):
         """verify judges each representation it computes, the base and every
@@ -308,6 +313,60 @@ class TestVerify:
             assert all(r["total_spectrum"]["pass"] for r in obj["results"])
         else:
             assert "result: FAIL (0/3 sequences)" in out
+            for name in ("zcurve", "tetrahedron", "helmert"):
+                assert out.count(f" {name} FAIL (total rel err 1, max dev ") == 3, out
+
+
+class TestVerifyHoldsOneRecord:
+    """verify draws each --random sequence just before its checks and keeps
+    only each record's rendered text until the output is written, once,
+    after the last record."""
+
+    @pytest.mark.parametrize("fmt, per_record", [("json", 4096), ("text", 1024)])
+    def test_peak_grows_little_per_record(self, tmp_path, fmt, per_record):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                code = main(["verify", "--random", str(n), "--seed", "1", "--format", fmt,
+                             "--output", str(tmp_path / "out")])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call costs paid before the measured runs
+        (small_code, small), (large_code, large) = peak(100), peak(1000)
+        assert small_code == large_code == 0
+        assert (large - small) / 900 < per_record, (small, large)
+
+    def test_one_sequence_alive_when_the_next_is_drawn(self, run, monkeypatch):
+        made, alive = [], []
+        draw = cli.random_sequence
+
+        def tracking(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            seq = draw(*args, **kwargs)
+            made.append(weakref.ref(seq))
+            return seq
+
+        monkeypatch.setattr(cli, "random_sequence", tracking)
+        code, _, err = run(["verify", "--random", "300"])
+        assert code == 0, err
+        assert len(alive) == 300
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_error_in_a_later_record_writes_nothing(self, run, tmp_path, fmt):
+        rep = _overflowing_matrix(tmp_path / "huge.json", build_zcurve().rows * 1e153)
+        first, both, out_path = tmp_path / "a.fa", tmp_path / "ab.fa", tmp_path / "out.txt"
+        first.write_text(">a\nACGTA\n")
+        both.write_text(">a\nACGTA\n>b\nACGTTGCAACGGTAC\n")
+        argv = ["verify", "--rep", rep, "--format", fmt]
+        code, _, err = run(argv + ["--input", str(first)])
+        assert code == 0, err
+        message = f"symspec: error: representation {rep!r} at m = 15: its total spectrum overflows float64\n"
+        assert run(argv + ["--input", str(both)]) == (2, "", message)
+        assert run(argv + ["--input", str(both), "--output", str(out_path)]) == (2, "", message)
+        assert not out_path.exists()
 
 
 _ONE_OF_EACH_COMMAND = {
