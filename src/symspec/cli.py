@@ -10,13 +10,16 @@ representation's spectrum, its total check, which also judges overflow,
 and, unless only the profile is wanted, its SNR-ratio check. A
 representation passes when both of its checks pass (``_passed``).
 
-Per-bin profiles (``analyze --format csv``, ``spectrum``) are rendered by
-column and written in blocks of rows, never as one string; their bytes are
-those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
+Each command renders its report as text pieces, lines of a text report or
+pieces of a JSON or CSV one, and hands them to ``_write``, the one writer,
+which writes each piece as it comes. Per-bin profiles (``analyze --format
+csv``, ``spectrum``) are rendered by column, just before they are written,
+in blocks of rows or items, never as one string; their bytes are those of
+``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
 k = 1 .. m//2 of each column are formatted and the strings mirrored.
 ``verify`` holds one record at a time: each is rendered, to its text line
 or its JSON item, as soon as its checks finish, and only those strings are
-kept until the output is written.
+kept until they are written, one piece each.
 """
 from __future__ import annotations
 
@@ -26,8 +29,7 @@ import io
 import json
 import math
 import sys
-from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,7 @@ from .sequences import (
 __all__ = ["build_parser", "main", "entry"]
 
 _RANDOM_M_RANGE = (1, 2000)
-_BLOCK_ITEMS = 8192  # profile rows (or JSON array items) joined per write
+_BLOCK_ITEMS = 8192  # profile rows (or JSON array items) joined per piece
 
 _TOTALS_NOTE = (
     "total spectra are exact identity values: m^2 for base, "
@@ -140,7 +142,7 @@ def _tune_malloc() -> None:
     rows, rfft outputs, pocketfft's scratch) are unmapped or trimmed when
     freed and faulted back in by the next batch of rows. Does nothing where
     the C library has no mallopt or malloc_trim, or refuses the settings;
-    _output() hands the kept memory back before anything is written.
+    _write() hands the kept memory back before anything is written.
     """
     global _tuned_libc
     import ctypes  # numpy has loaded it already
@@ -158,27 +160,26 @@ def _tune_malloc() -> None:
         _tuned_libc = libc
 
 
-@contextmanager
-def _output(args):
-    """The stream --output names: stdout, or the file, created only now.
+def _write(args, pieces) -> None:
+    """Write *pieces* of text, each as it comes, to the stream --output names:
+    stdout, or the file, created only now.
 
-    Every command's output passes through here once, after its last
-    spectrum: memory that _tune_malloc kept is handed back first.
+    The one writer: every command calls it once, after its last spectrum,
+    with renderers that format lazily, so memory that _tune_malloc kept is
+    handed back before anything is formatted or written.
     """
     if _tuned_libc is not None:
         _tuned_libc.malloc_trim(0)
     if args.output in (None, "-"):
-        yield sys.stdout
+        sys.stdout.writelines(pieces)
     else:
         with Path(args.output).open("w", encoding="utf-8") as out:
-            yield out
+            out.writelines(pieces)
 
 
-def _write(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    with _output(args) as out:
-        out.write(text)
+def _lines(lines):
+    """Text lines as pieces, each ending in its newline."""
+    return (line + "\n" for line in lines)
 
 
 def _blocks(items):
@@ -188,31 +189,32 @@ def _blocks(items):
         yield block
 
 
-def _write_json(args, fields: dict, arrays: dict | None = None) -> None:
-    """*fields* and *arrays* as one object, as ``json.dumps(indent=2, sort_keys=True)``
-    writes it. Each array is a callable returning its items as JSON text
-    indented for depth 2; it is called just before the array is written."""
-    arrays = arrays or {}
-    with _output(args) as out:
-        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
-            out.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-            if key in fields:
-                out.write(_json_text(fields[key]).replace("\n", "\n  "))
-            else:
-                _write_json_array(out, arrays[key]())
-        out.write("\n}\n")
+_JSON_ITEM_SEP = ",\n    "  # between the items of an array at depth 1 of json.dumps(indent=2)
 
 
-def _write_json_array(out, strings: list[str]) -> None:
-    """Formatted items as a JSON array at depth 1 of ``json.dumps(indent=2)``."""
-    if not strings:
-        out.write("[]")
-        return
-    sep = ",\n    "
-    out.write("[\n    ")
-    for j, block in enumerate(_blocks(strings)):
-        out.write((sep if j else "") + sep.join(block))
-    out.write("\n  ]")
+def _joined(items):
+    """JSON array items, as text indented for depth 2, joined in blocks."""
+    return map(_JSON_ITEM_SEP.join, _blocks(items))
+
+
+def _json(fields: dict):
+    """*fields* as ``json.dumps(fields, indent=2, sort_keys=True)`` writes it, in pieces.
+
+    A callable value is an array: it is called just before the array is
+    written and returns the array's items as JSON text indented for depth
+    2, each piece one item or several joined by _JSON_ITEM_SEP.
+    """
+    for i, key in enumerate(sorted(fields)):
+        yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        if not callable(fields[key]):
+            yield _json_text(fields[key]).replace("\n", "\n  ")
+            continue
+        sep = "[\n    "
+        for piece in fields[key]():
+            yield from (sep, piece)
+            sep = _JSON_ITEM_SEP
+        yield "[]" if sep == "[\n    " else "\n  ]"
+    yield "\n}\n"
 
 
 def _check_period(args) -> None:
@@ -237,6 +239,9 @@ def _read_input(args) -> tuple[str, str]:
 
 
 def _load_many(args) -> tuple[list[SymbolicSequence], str]:
+    if args.alphabet is not None and any(map(str.isspace, args.alphabet)):
+        # parse_fasta strips whitespace from every record, so no input holds such a symbol.
+        raise ValueError(f"--alphabet {args.alphabet!r} has whitespace, which is never a symbol")
     text, label = _read_input(args)
     alphabet = None if args.alphabet in (None, "auto") else Alphabet(tuple(args.alphabet.upper()))
     try:
@@ -367,7 +372,7 @@ def _input_line(seq, label) -> str:
     return f"input: {label}" + (f" (record {seq.id!r})" if seq.id else "")
 
 
-def _write_analysis_json(args, seq, label, notes, **fields) -> None:
+def _analysis_json(args, seq, label, notes, **fields):
     """The JSON report of analyze or compare: the input fields, *fields* and the notes."""
     head = {
         "input": label,
@@ -376,7 +381,7 @@ def _write_analysis_json(args, seq, label, notes, **fields) -> None:
         "alphabet": str(seq.alphabet),
         "period": args.period,
     }
-    _write_json(args, {**head, **fields, "notes": notes})
+    return _json({**head, **fields, "notes": notes})
 
 
 # -- per-bin profiles --------------------------------------------------------
@@ -406,34 +411,34 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_profile_csv(args, named_reports, with_rep_column: bool) -> None:
-    """One CSV row per bin k = 1 .. m-1 of each report; the reports share m,
-    so k and frequency are formatted once."""
+def _profile_csv(named_reports, with_rep_column: bool):
+    """One CSV row per bin k = 1 .. m-1 of each report, in blocks of rows;
+    the reports share m, so k and frequency are formatted once."""
     m = named_reports[0][1].m
+    k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
     header = "k,frequency,power,snr\n"
-    with _output(args) as out:
-        k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
-        out.write("representation," + header if with_rep_column else header)
-        for name, report in named_reports:
-            half_snr = report.half_power / report.mean_noise
-            columns = [k_freq, _profile_strings(report.half_power, m), _profile_strings(half_snr, m)]
-            if with_rep_column:
-                columns.insert(0, [_csv_cell(name)] * (m - 1))
-            for block in _blocks(map(",".join, zip(*columns))):
-                out.write("\n".join(block) + "\n")
-            del columns  # before the next report's columns are formatted
+    yield "representation," + header if with_rep_column else header
+    for name, report in named_reports:
+        half_snr = report.half_power / report.mean_noise
+        columns = [k_freq, _profile_strings(report.half_power, m), _profile_strings(half_snr, m)]
+        if with_rep_column:
+            columns.insert(0, [_csv_cell(name)] * (m - 1))
+        for block in _blocks(map(",".join, zip(*columns))):
+            yield "\n".join(block) + "\n"
+        del columns  # before the next report's columns are formatted
 
 
-def _write_profile_json(args, fields: dict, report) -> None:
+def _profile_json(fields: dict, report):
     """*fields* plus the report's k, frequency, power and snr arrays, as
     ``json.dumps(indent=2, sort_keys=True)`` writes them. Each array is
     formatted just before it is written."""
     m = report.m
-    _write_json(args, fields, {
-        "k": lambda: list(map(str, range(1, m))),
-        "frequency": lambda: _float_strings(np.arange(1, m) / m),
-        "power": lambda: _profile_strings(report.half_power, m, for_json=True),
-        "snr": lambda: _profile_strings(report.half_power / report.mean_noise, m, for_json=True),
+    return _json({
+        **fields,
+        "k": lambda: _joined(map(str, range(1, m))),
+        "frequency": lambda: _joined(_float_strings(np.arange(1, m) / m)),
+        "power": lambda: _joined(_profile_strings(report.half_power, m, for_json=True)),
+        "snr": lambda: _joined(_profile_strings(report.half_power / report.mean_noise, m, for_json=True)),
     })
 
 
@@ -446,9 +451,9 @@ def cmd_analyze(args) -> int:
     entries = [entry for entry, _ in analyses]
 
     if args.format == "json":
-        _write_analysis_json(args, seq, label, notes, representations=entries)
+        _write(args, _analysis_json(args, seq, label, notes, representations=entries))
     elif args.format == "csv":
-        _write_profile_csv(args, [(e["name"], r) for e, r in analyses], True)
+        _write(args, _profile_csv([(e["name"], r) for e, r in analyses], True))
     else:
         lines = [
             _input_line(seq, label),
@@ -483,7 +488,7 @@ def cmd_analyze(args) -> int:
                 )
             lines.append("")
         lines.extend(f"note: {note}" for note in notes)
-        _write(args, "\n".join(lines))
+        _write(args, _lines(lines))
     return status
 
 
@@ -531,7 +536,7 @@ def cmd_compare(args) -> int:
         )
 
     if args.format == "json":
-        _write_analysis_json(args, seq, label, notes, methods=methods, ratios=ratios)
+        _write(args, _analysis_json(args, seq, label, notes, methods=methods, ratios=ratios))
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -540,7 +545,7 @@ def cmd_compare(args) -> int:
         # csv.writer writes None as an empty cell; the reference row has no ratio.
         for method, r in zip(methods, [{}] + ratios):
             writer.writerow([method[key] for key in keys] + [r.get("measured"), r.get("theoretical")])
-        _write(args, buf.getvalue())
+        _write(args, [buf.getvalue()])
     else:
         table = [
             ["Method"] + [m["method"] for m in methods],
@@ -566,7 +571,7 @@ def cmd_compare(args) -> int:
                 lines.append(f"{head} measured {_fmt_snr(r['measured'])}"
                              f"   theoretical {_fmt_snr(r['theoretical'])}")
         lines.extend(f"note: {note}" for note in notes)
-        _write(args, "\n".join(lines))
+        _write(args, _lines(lines))
     return status
 
 
@@ -665,17 +670,16 @@ def cmd_verify(args) -> int:
             fields["m_range"] = list(_RANDOM_M_RANGE)
         else:
             fields["input"] = label
-        _write_json(args, fields, {"results": lambda: rendered})
+        _write(args, _json({**fields, "results": lambda: rendered}))
     else:
         if args.random is not None:
             head = (f"verify: {count} random sequences over {alphabet} "
                     f"(T = {alphabet.size}), seed = {seed}, m in [{lo}, {hi}]")
         else:
             head = f"verify: {count} sequence(s) from {label} over {alphabet} (T = {alphabet.size})"
-        lines = [head, "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative", ""]
-        lines += rendered
-        lines += ["", f"result: {_passfail(all_pass)} ({n_pass}/{count} sequences)"]
-        _write(args, "\n".join(lines))
+        transforms = "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative"
+        result = f"result: {_passfail(all_pass)} ({n_pass}/{count} sequences)"
+        _write(args, _lines(chain([head, transforms, ""], rendered, ["", result])))
 
     return 0 if all_pass else 1
 
@@ -693,9 +697,9 @@ def cmd_spectrum(args) -> int:
 
     if args.format == "json":
         fields = {"input": label, "record": seq.id, "m": report.m, "representation": report.representation}
-        _write_profile_json(args, fields, report)
+        _write(args, _profile_json(fields, report))
     else:
-        _write_profile_csv(args, [(report.representation, report)], False)
+        _write(args, _profile_csv([(report.representation, report)], False))
     return 0
 
 

@@ -184,12 +184,13 @@ def validate_row_orthogonal(
 ) -> RepresentationMatrix:
     """Check a candidate (T-1) x T matrix and return it as a RepresentationMatrix.
 
-    Checks, in order: shape and finiteness; pairwise row orthogonality; equal
+    Checks, in order: shape and finiteness; a squared norm in float64's
+    normal range for every nonzero row; pairwise row orthogonality; equal
     row norms (their common value becomes d); orthogonality of every row to
     the all-ones row; and the two column identities on rows/d. The row checks
     are relative to d (dot products within ROW_DOT_ATOL·d², row sums within
-    ROW_DOT_ATOL·d), so they judge rows/d and the verdict does not depend on
-    the matrix's scale. Rows that pass them hold the column identities to
+    ROW_DOT_ATOL·d), so they judge rows/d and, within that range, the verdict
+    does not depend on the matrix's scale. Rows that pass them hold the column identities to
     about T·ROW_DOT_ATOL, so the last check is a cross-check.
     """
     M = np.array(rows, dtype=np.float64)
@@ -209,8 +210,13 @@ def validate_row_orthogonal(
         if len(set(alphabet_order)) != len(alphabet_order):
             raise MatrixError("alphabet_order symbols are not distinct")
 
-    gram = M @ M.T
-    norms = np.sqrt(np.diag(gram))
+    with np.errstate(over="ignore"):  # an overflowing Gram is judged just below
+        gram = M @ M.T
+    sq_norms, fin = np.diag(gram), np.finfo(np.float64)
+    if np.any(M.any(axis=1) & ~((sq_norms >= fin.tiny) & (sq_norms <= fin.max))):
+        raise MatrixError(f"matrix scale out of range: its largest entry is {np.abs(M).max():.3g}, and each "
+                          f"squared row norm must lie in float64's normal range [{fin.tiny:.3g}, {fin.max:.3g}]")
+    norms = np.sqrt(sq_norms)
     d = float(norms.mean())
     off = gram - np.diag(np.diag(gram))
     if np.max(np.abs(off)) > ROW_DOT_ATOL * d**2:

@@ -235,8 +235,8 @@ class TotalSpectrumCheck:
     measured: float
     relative_error: float
 
-    def passed(self, rtol: float = IDENTITY_RTOL) -> bool:
-        return self.relative_error <= rtol
+    def passed(self) -> bool:
+        return self.relative_error <= IDENTITY_RTOL
 
 
 def _require_match(report: SpectrumReport, ind: IndicatorMatrix, role: str) -> None:
@@ -297,8 +297,8 @@ class RatioCheck:
     def vacuous(self) -> bool:
         return self.checked_bins == 0
 
-    def passed(self, rtol: float = IDENTITY_RTOL) -> bool:
-        return self.vacuous or self.max_deviation <= rtol * self.expected
+    def passed(self) -> bool:
+        return self.vacuous or self.max_deviation <= IDENTITY_RTOL * self.expected
 
     def __repr__(self) -> str:
         dev = "vacuous" if self.vacuous else f"max_dev={self.max_deviation:.3g}"

@@ -1,4 +1,3 @@
-import argparse
 import ctypes
 import csv
 import dataclasses
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from symspec import build_helmert, build_zcurve, cli, save_matrix, spectral, validate_row_orthogonal
-from symspec.cli import _write_profile_csv, _write_profile_json, main
+from symspec.cli import _profile_csv, _profile_json, main
 from conftest import child_env
 
 
@@ -115,6 +114,14 @@ class TestAnalyze:
         )
         assert code == 2
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("argv", [["analyze", "--alphabet", "ACGT "], ["verify", "--alphabet", "AC GT"]])
+    def test_alphabet_with_whitespace_is_rejected(self, run, argv):
+        # Regression: "ACGT " made a fifth symbol, ' ', that no record can hold
+        # (whitespace is stripped from every record): T = 5, ratio 1.2500.
+        code, out, err = run(argv + ["--rep", "helmert"], stdin_text="ACGTTGCAAC\n")
+        assert (code, out) == (2, "")
+        assert err == f"symspec: error: --alphabet {argv[2]!r} has whitespace, which is never a symbol\n"
 
     def test_missing_input_file(self, run):
         code, _, err = run(["analyze", "--input", "/nonexistent/f.fasta"])
@@ -320,9 +327,9 @@ class TestVerify:
 class TestVerifyHoldsOneRecord:
     """verify draws each --random sequence just before its checks and keeps
     only each record's rendered text until the output is written, once,
-    after the last record."""
+    after the last record, each record's text as one piece, never joined."""
 
-    @pytest.mark.parametrize("fmt, per_record", [("json", 4096), ("text", 1024)])
+    @pytest.mark.parametrize("fmt, per_record", [("json", 1536), ("text", 300)])
     def test_peak_grows_little_per_record(self, tmp_path, fmt, per_record):
         def peak(n):
             tracemalloc.start()
@@ -635,6 +642,22 @@ class TestTotalSpectrumOverflow:
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e-160])
+def test_matrix_out_of_scale_prints_one_line(tmp_path, scale):
+    """Regression: at 1e154 three numpy warnings came before the error, and
+    both scales read "column identity violated"."""
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"name": "scaled", "alphabet_order": list("ACGT"),
+                                "rows": (build_zcurve().rows * scale).tolist(), "d": 2 * scale}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symspec", "analyze", "--rep", f"file:{path}"],
+        input="ACGTTGCAAC\n", env=child_env(), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"symspec: error: matrix scale out of range: its largest entry is {scale:.3g},")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def _report(half_power, m, mean_noise, name="hand"):
     return spectral.SpectrumReport(
         representation=name, m=m, alphabet_size=4, d=None,
@@ -644,8 +667,8 @@ def _report(half_power, m, mean_noise, name="hand"):
 
 class TestProfileRenderer:
     """The columnar renderers against csv.writer and json.dumps of the
-    report's power and snr, byte for byte. Each report is built from its
-    half spectrum (bins 0 .. m//2) and a mean noise."""
+    report's power and snr, byte for byte, their pieces joined. Each report
+    is built from its half spectrum (bins 0 .. m//2) and a mean noise."""
 
     REPORTS = {
         # Every non-finite spelling, in power and in snr.
@@ -659,16 +682,11 @@ class TestProfileRenderer:
         "no-bins": ([1.0], 1, 1.0),
     }
 
-    @staticmethod
-    def _args(path):
-        return argparse.Namespace(output=str(path))
-
     @pytest.mark.parametrize("key", list(REPORTS))
-    def test_csv_matches_csv_writer(self, key, tmp_path):
+    def test_csv_matches_csv_writer(self, key):
         # Names that csv.writer quotes, or leaves empty, inside a row.
         reports = [("a,\"b", _report(*self.REPORTS[key])), ("", _report(*self.REPORTS[key]))]
-        path = tmp_path / "out.csv"
-        _write_profile_csv(self._args(path), reports, True)
+        text = "".join(_profile_csv(reports, True))
         # The renderer reads the half spectrum only: no full-length copy is cached.
         assert all(not {"power", "snr"} & vars(r).keys() for _, r in reports)
         buf = io.StringIO()
@@ -677,10 +695,10 @@ class TestProfileRenderer:
         for name, r in reports:
             for k in range(1, r.m):
                 writer.writerow([name, k, k / r.m, float(r.power[k]), float(r.snr[k - 1])])
-        assert path.read_bytes() == buf.getvalue().encode()
+        assert text == buf.getvalue()
 
     @pytest.mark.parametrize("key", list(REPORTS))
-    def test_json_matches_json_dumps(self, key, tmp_path):
+    def test_json_matches_json_dumps(self, key):
         r = _report(*self.REPORTS[key])
         fields = {"input": "-", "record": "\u00e9\"x", "m": r.m, "representation": r.representation}
         expected = json.dumps(
@@ -688,9 +706,7 @@ class TestProfileRenderer:
              "power": [float(v) for v in r.power[1:]], "snr": [float(v) for v in r.snr]},
             indent=2, sort_keys=True,
         ) + "\n"
-        path = tmp_path / "out.json"
-        _write_profile_json(self._args(path), fields, r)
-        assert path.read_bytes() == expected.encode()
+        assert "".join(_profile_json(fields, r)) == expected
 
 
 @pytest.fixture
@@ -746,7 +762,7 @@ COMMAND_ARGV = {
 
 class TestMallocTuning:
     """``entry()`` tunes glibc's malloc before main() and trims the heap
-    once, in _output(); library use and an in-process main() touch neither."""
+    once, in _write(); library use and an in-process main() touch neither."""
 
     def test_entry_sets_both_thresholds_before_main(self, libc, monkeypatch, run_entry):
         seen = []
@@ -829,7 +845,7 @@ class TestReportsKeptForProfilesOnly:
     @staticmethod
     def _track(monkeypatch):
         """Weak references to each report made, and which of them are alive
-        when each spectrum starts and when the output is opened."""
+        when each spectrum starts and when the output is written."""
         reports, alive = [], []
 
         def tracking(fn):
@@ -840,14 +856,14 @@ class TestReportsKeptForProfilesOnly:
                 return report
             return wrapped
 
-        def output(args):
+        def write(args, pieces):
             alive.append([ref() is not None for ref in reports])
-            return original_output(args)
+            return original_write(args, pieces)
 
-        original_output = cli._output
+        original_write = cli._write
         monkeypatch.setattr(spectral, "spectrum_base", tracking(spectral.spectrum_base))
         monkeypatch.setattr(spectral, "spectrum_transformed", tracking(spectral.spectrum_transformed))
-        monkeypatch.setattr(cli, "_output", output)
+        monkeypatch.setattr(cli, "_write", write)
         return alive
 
     @pytest.mark.parametrize(

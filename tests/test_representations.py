@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ class TestValidateRowOrthogonal:
         rows = np.array([u, math.cos(angle) * u + math.sin(angle) * v])
         with pytest.raises(MatrixError, match=r"rows not orthogonal$"):
             validate_row_orthogonal(rows * scale)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-160])
+    def test_rejects_squared_norms_outside_the_normal_range(self, scale):
+        # Regression: at 1e154 the Gram overflowed, the row checks compared
+        # against NaN and passed, and both scales read "column identity violated".
+        with pytest.raises(MatrixError, match=re.escape(f"matrix scale out of range: its largest entry is {scale:.3g},")):
+            validate_row_orthogonal(build_zcurve().rows * scale)
+
+    @pytest.mark.parametrize("scale", [1e153, 1e-150])
+    def test_accepts_squared_norms_in_the_normal_range(self, scale):
+        assert validate_row_orthogonal(build_zcurve().rows * scale).d == pytest.approx(2 * scale, rel=1e-15)
+
+    def test_rejects_a_zero_row_by_name(self):
+        rows = build_zcurve().rows.copy()
+        rows[1] = 0.0
+        with pytest.raises(MatrixError, match="^rows must be nonzero$"):
+            validate_row_orthogonal(rows)
 
 
 class TestBuilders:
