@@ -4,6 +4,9 @@ Subcommands: analyze (per-representation summary and checks), compare
 (side-by-side table plus SNR ratio lines), verify (identity checks on input
 or seeded random sequences), spectrum (plot-ready per-bin CSV).
 
+``main`` first calls ``_check``, which refuses every bad argument that the
+arguments alone decide, --output included, before any input is read.
+
 Every command runs each input record through one path, ``_spectra``:
 indicators, the base spectrum when a check or the base needs it, then each
 representation's spectrum, its total check, which also judges overflow,
@@ -25,9 +28,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
@@ -36,7 +41,6 @@ import numpy as np
 
 from . import spectral
 from .representations import (
-    MatrixError,
     RepresentationMatrix,
     apply_representation,
     build_helmert,
@@ -217,9 +221,63 @@ def _json(fields: dict):
     yield "\n}\n"
 
 
-def _check_period(args) -> None:
-    if args.period < 2:
+# Built-in representations by name, built for T symbols; None is the base (indicator) one.
+_BUILT_IN = {
+    "base": lambda T: None,
+    "zcurve": lambda T: build_zcurve(),
+    "tetrahedron": lambda T: build_tetrahedron(),
+    "helmert": build_helmert,
+}
+
+
+def _check(args) -> None:
+    """Raise every refusal that the arguments alone decide, before any input is read.
+
+    Also puts in ``args.alphabet`` the Alphabet that --alphabet names, None
+    to infer one from the input. What depends on the input (its bytes, its
+    records, an inferred alphabet, a matrix file and its columns) and
+    verify's --alphabet-size are judged where they are used.
+    """
+    reps = args.reps or []
+    if args.command == "verify":
+        if args.format == "csv":
+            raise ValueError("verify supports --format text or json")
+        if args.random is None and (args.seed, args.alphabet_size) != (None, None):
+            raise ValueError("--seed and --alphabet-size apply only with --random")
+        if args.random is not None and (args.input, args.alphabet) != (None, None):
+            raise ValueError("--random makes its own sequences; it takes no --input or --alphabet")
+        if args.random is not None and args.random < 1:
+            raise ValueError(f"--random needs a positive count, got {args.random}")
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    elif args.period < 2:
         raise ValueError(f"period must be at least 2, got {args.period}")
+    if args.command == "compare" and len(reps) < 2:
+        raise ValueError("compare needs at least two --rep selections")
+    if args.alphabet not in (None, "auto") and any(map(str.isspace, args.alphabet)):
+        # parse_fasta strips whitespace from every record, so no input holds such a symbol.
+        raise ValueError(f"--alphabet {args.alphabet!r} has whitespace, which is never a symbol")
+    args.alphabet = None if args.alphabet in (None, "auto") else Alphabet(tuple(args.alphabet.upper()))
+    if args.command == "spectrum" and len(reps) > 1:
+        raise ValueError("spectrum needs exactly one --rep selection")
+    if args.command == "verify" and "base" in reps:
+        raise ValueError("verify checks channel transforms against the implicit base representation; "
+                         "--rep base is not a transform")
+    for name in reps:
+        if name == "file:":
+            raise ValueError("--rep file: needs the path of a matrix file, as in file:PATH")
+        if name not in _BUILT_IN and not name.startswith("file:"):
+            raise ValueError(f"unknown representation {name!r}")
+    if args.output not in (None, "-"):
+        # What open() in _write would refuse after the work, with its error, creating
+        # nothing. The trailing separator makes a parent that is a file fail as there.
+        target = Path(args.output)
+        try:
+            os.stat(os.path.join(target.parent, ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
+        if target.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
 
 
 def _read_input(args) -> tuple[str, str]:
@@ -239,13 +297,9 @@ def _read_input(args) -> tuple[str, str]:
 
 
 def _load_many(args) -> tuple[list[SymbolicSequence], str]:
-    if args.alphabet is not None and any(map(str.isspace, args.alphabet)):
-        # parse_fasta strips whitespace from every record, so no input holds such a symbol.
-        raise ValueError(f"--alphabet {args.alphabet!r} has whitespace, which is never a symbol")
     text, label = _read_input(args)
-    alphabet = None if args.alphabet in (None, "auto") else Alphabet(tuple(args.alphabet.upper()))
     try:
-        seqs = parse_fasta(text, alphabet)
+        seqs = parse_fasta(text, args.alphabet)
     except SequenceError as exc:
         raise SequenceError(f"{label}: {exc}") from None
     return seqs, label
@@ -261,18 +315,11 @@ def _load_single(args) -> tuple[SymbolicSequence, str]:
 
 
 def _resolve_rep(name: str, alphabet: Alphabet) -> RepresentationMatrix | None:
-    """None stands for the base (indicator) representation."""
-    if name == "base":
-        return None
-    if name == "zcurve":
-        return build_zcurve()
-    if name == "tetrahedron":
-        return build_tetrahedron()
-    if name == "helmert":
-        return build_helmert(alphabet.size)
-    if name.startswith("file:"):
-        return load_matrix(name[len("file:"):])
-    raise ValueError(f"unknown representation {name!r}")
+    """None stands for the base (indicator) representation; any name that
+    is not built in is a ``file:PATH`` (_check refuses the others)."""
+    if name in _BUILT_IN:
+        return _BUILT_IN[name](alphabet.size)
+    return load_matrix(name[len("file:"):])
 
 
 def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
@@ -446,7 +493,6 @@ def _profile_json(fields: dict, report):
 
 
 def cmd_analyze(args) -> int:
-    _check_period(args)
     seq, label, analyses, notes, status = _analyses(args, args.reps or ["base"], args.format == "csv")
     entries = [entry for entry, _ in analyses]
 
@@ -496,11 +542,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_period(args)
-    rep_names = args.reps or []
-    if len(rep_names) < 2:
-        raise ValueError("compare needs at least two --rep selections")
-    seq, label, analyses, notes, status = _analyses(args, rep_names)
+    seq, label, analyses, notes, status = _analyses(args, args.reps)
 
     methods = []
     for entry, _ in analyses:
@@ -579,19 +621,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise ValueError("verify supports --format text or json")
-    if args.random is None and (args.seed, args.alphabet_size) != (None, None):
-        raise ValueError("--seed and --alphabet-size apply only with --random")
-    if args.random is not None and (args.input, args.alphabet) != (None, None):
-        raise ValueError("--random makes its own sequences; it takes no --input or --alphabet")
     tol = spectral.IDENTITY_RTOL
     seed = 0 if args.seed is None else args.seed
     if args.random is not None:
-        if args.random < 1:
-            raise ValueError(f"--random needs a positive count, got {args.random}")
-        if seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         alphabet = default_alphabet(4 if args.alphabet_size is None else args.alphabet_size)
         rng = np.random.default_rng(seed)
         lo, hi = _RANDOM_M_RANGE
@@ -609,11 +641,6 @@ def cmd_verify(args) -> int:
     if not rep_names:
         is_dna = set(alphabet.symbols) == set("ACGT")
         rep_names = ["zcurve", "tetrahedron", "helmert"] if is_dna else ["helmert"]
-    if "base" in rep_names:
-        raise ValueError(
-            "verify checks channel transforms against the implicit base representation; "
-            "--rep base is not a transform"
-        )
     # The base first, for its total check; a repeated --rep once.
     reps = {"base": None, **{name: _resolve_rep(name, alphabet) for name in rep_names}}
 
@@ -688,12 +715,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _check_period(args)
     seq, label = _load_single(args)
-    rep_names = args.reps or ["base"]
-    if len(rep_names) != 1:
-        raise ValueError("spectrum needs exactly one --rep selection")
-    report = next(_spectra(seq, {rep_names[0]: _resolve_rep(rep_names[0], seq.alphabet)}, checks=False))[1]
+    (rep_name,) = args.reps or ["base"]
+    report = next(_spectra(seq, {rep_name: _resolve_rep(rep_name, seq.alphabet)}, checks=False))[1]
 
     if args.format == "json":
         fields = {"input": label, "record": seq.id, "m": report.m, "representation": report.representation}
@@ -714,8 +738,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check(args)
         return _COMMANDS[args.command](args)
-    except (SequenceError, MatrixError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"symspec: error: {exc}", file=sys.stderr)
         return 2
 

@@ -184,16 +184,21 @@ def validate_row_orthogonal(
 ) -> RepresentationMatrix:
     """Check a candidate (T-1) x T matrix and return it as a RepresentationMatrix.
 
-    Checks, in order: shape and finiteness; a squared norm in float64's
-    normal range for every nonzero row; pairwise row orthogonality; equal
-    row norms (their common value becomes d); orthogonality of every row to
-    the all-ones row; and the two column identities on rows/d. The row checks
-    are relative to d (dot products within ROW_DOT_ATOL·d², row sums within
-    ROW_DOT_ATOL·d), so they judge rows/d and, within that range, the verdict
-    does not depend on the matrix's scale. Rows that pass them hold the column identities to
-    about T·ROW_DOT_ATOL, so the last check is a cross-check.
+    Checks, in order: rows of numbers, all of one length; shape and
+    finiteness; column symbols, when given, one distinct character each; a
+    squared norm in float64's normal range for every nonzero row; pairwise
+    row orthogonality; equal row norms (their common value becomes d);
+    orthogonality of every row to the all-ones row; and the two column
+    identities on rows/d. The row checks are relative to d (dot products
+    within ROW_DOT_ATOL·d², row sums within ROW_DOT_ATOL·d), so they judge
+    rows/d and, within that range, the verdict does not depend on the
+    matrix's scale. Rows that pass them hold the column identities to about
+    T·ROW_DOT_ATOL, so the last check is a cross-check.
     """
-    M = np.array(rows, dtype=np.float64)
+    try:
+        M = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise MatrixError("matrix must be rows of numbers, all of one length") from None
     if M.ndim != 2:
         raise MatrixError("matrix must be two-dimensional")
     n_rows, n_cols = M.shape
@@ -207,6 +212,8 @@ def validate_row_orthogonal(
             raise MatrixError(
                 f"alphabet_order has {len(alphabet_order)} symbols for {n_cols} columns"
             )
+        if not all(isinstance(s, str) and len(s) == 1 for s in alphabet_order):
+            raise MatrixError("alphabet_order symbols must be single characters")
         if len(set(alphabet_order)) != len(alphabet_order):
             raise MatrixError("alphabet_order symbols are not distinct")
 
@@ -388,8 +395,11 @@ def matrix_from_dict(obj: dict) -> RepresentationMatrix:
         raise MatrixError("matrix JSON needs 'rows' and a numeric 'd'") from None
     order = obj.get("alphabet_order")
     if order:
-        # Sequences are case-folded to upper, so the column symbols are too.
-        order = tuple(s.upper() if isinstance(s, str) else s for s in order)
+        try:
+            # Sequences are case-folded to upper, so the column symbols are too.
+            order = tuple(s.upper() if isinstance(s, str) else s for s in order)
+        except TypeError:
+            raise MatrixError("'alphabet_order' must be a list of symbols") from None
     rep = validate_row_orthogonal(
         rows,
         alphabet_order=order or None,

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from symspec import build_helmert, build_zcurve, cli, save_matrix, spectral, validate_row_orthogonal
+from symspec import build_helmert, build_zcurve, cli, matrix_to_dict, save_matrix, spectral, validate_row_orthogonal
 from symspec.cli import _profile_csv, _profile_json, main
 from conftest import child_env
 
@@ -196,13 +196,6 @@ class TestCompare:
         assert ratio["theoretical"] == pytest.approx(1.0)
         assert ratio["measured"] == pytest.approx(1.0, rel=1e-9)
 
-    def test_requires_two_representations(self, run):
-        code, _, err = run(
-            ["compare", "--alphabet", "ACGT", "--rep", "base"], stdin_text="ACGT"
-        )
-        assert code == 2
-        assert "at least two" in err
-
     def test_too_few_representations_rejected_before_input_is_read(self, run):
         code, out, err = run(["compare", "--rep", "base"], stdin_bytes=b"\xff\xfeACGT")
         assert code == 2
@@ -246,18 +239,6 @@ class TestVerify:
         assert code == 0
         assert "vacuous (no nonzero base bins)" in out
         assert "result: PASS" in out
-
-    def test_rejects_base_as_transform(self, run):
-        code, _, err = run(
-            ["verify", "--random", "1", "--rep", "base"]
-        )
-        assert code == 2
-        assert "base" in err
-
-    def test_rejects_csv_format(self, run):
-        code, _, err = run(["verify", "--random", "1", "--format", "csv"])
-        assert code == 2
-        assert "text or json" in err
 
     def test_csv_format_rejected_before_input_is_read(self, run):
         code, out, err = run(["verify", "--format", "csv"], stdin_bytes=b"\xff\xfeACGT")
@@ -374,6 +355,74 @@ class TestVerifyHoldsOneRecord:
         assert run(argv + ["--input", str(both)]) == (2, "", message)
         assert run(argv + ["--input", str(both), "--output", str(out_path)]) == (2, "", message)
         assert not out_path.exists()
+
+
+_BASE_NOT_A_TRANSFORM = (
+    "verify checks channel transforms against the implicit base representation; --rep base is not a transform"
+)
+_WHITESPACE = "--alphabet {!r} has whitespace, which is never a symbol"
+_OTHER_MODE = "--random makes its own sequences; it takes no --input or --alphabet"
+
+# One row per refusal that the arguments alone decide: argv and the error
+# after "symspec: error: ". {tmp} stands for a temporary directory, {file}
+# for a file in it.
+REFUSALS = {
+    "verify-csv": (["verify", "--format", "csv"], "verify supports --format text or json"),
+    "verify-random-csv": (["verify", "--random", "1", "--format", "csv"], "verify supports --format text or json"),
+    "verify-seed-without-random": (["verify", "--seed", "3"], "--seed and --alphabet-size apply only with --random"),
+    "verify-alphabet-size-without-random": (
+        ["verify", "--alphabet-size", "20"], "--seed and --alphabet-size apply only with --random"
+    ),
+    "verify-random-with-input": (["verify", "--random", "1", "--input", "-"], _OTHER_MODE),
+    "verify-random-with-alphabet": (["verify", "--random", "1", "--alphabet", "auto"], _OTHER_MODE),
+    "verify-random-0": (["verify", "--random", "0"], "--random needs a positive count, got 0"),
+    "verify-random-negative": (["verify", "--random", "-3"], "--random needs a positive count, got -3"),
+    "verify-negative-seed": (["verify", "--random", "2", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    "analyze-period-1": (["analyze", "--period", "1"], "period must be at least 2, got 1"),
+    "compare-period-0": (
+        ["compare", "--rep", "base", "--rep", "zcurve", "--period", "0"], "period must be at least 2, got 0"
+    ),
+    "spectrum-period-1": (["spectrum", "--period", "1"], "period must be at least 2, got 1"),
+    "compare-no-rep": (["compare"], "compare needs at least two --rep selections"),
+    "compare-one-rep": (["compare", "--rep", "base"], "compare needs at least two --rep selections"),
+    "analyze-alphabet-whitespace": (["analyze", "--alphabet", "ACGT "], _WHITESPACE.format("ACGT ")),
+    "verify-alphabet-whitespace": (["verify", "--alphabet", "AC GT"], _WHITESPACE.format("AC GT")),
+    "analyze-alphabet-one-symbol": (["analyze", "--alphabet", "A"], "alphabet needs at least 2 symbols"),
+    "verify-alphabet-repeated": (["verify", "--alphabet", "AaC"], "alphabet symbols 'AAC' are not distinct"),
+    "spectrum-two-reps": (["spectrum", "--rep", "base", "--rep", "zcurve"], "spectrum needs exactly one --rep selection"),
+    "verify-rep-base": (["verify", "--rep", "base"], _BASE_NOT_A_TRANSFORM),
+    "verify-random-rep-base": (["verify", "--random", "1", "--rep", "base"], _BASE_NOT_A_TRANSFORM),
+    "analyze-unknown-rep": (["analyze", "--rep", "base", "--rep", "nope"], "unknown representation 'nope'"),
+    "spectrum-unknown-rep": (["spectrum", "--rep", "nope", "--format", "csv"], "unknown representation 'nope'"),
+    "compare-file-without-path": (
+        ["compare", "--rep", "base", "--rep", "file:"], "--rep file: needs the path of a matrix file, as in file:PATH"
+    ),
+    "verify-output-in-missing-directory": (
+        ["verify", "--random", "3000", "--output", "{tmp}/missing/out.json"],
+        "[Errno 2] No such file or directory: '{tmp}/missing/out.json'",
+    ),
+    "spectrum-output-is-directory": (["spectrum", "--output", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'"),
+    "analyze-output-under-a-file": (
+        ["analyze", "--format", "json", "--output", "{file}/out.json"], "[Errno 20] Not a directory: '{file}/out.json'"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", REFUSALS)
+def test_refused_before_input_is_read(run, monkeypatch, tmp_path, key):
+    """Each refusal comes before the input is read, which would refuse these
+    bytes as not UTF-8, and before any spectrum is computed; nothing is written."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(spectral, "spectrum_base", no_spectrum)
+    monkeypatch.setattr(spectral, "spectrum_transformed", no_spectrum)
+    (tmp_path / "a-file").touch()
+    places = {"tmp": tmp_path, "file": tmp_path / "a-file"}
+    argv, message = REFUSALS[key]
+    code, out, err = run([arg.format(**places) for arg in argv], stdin_bytes=b"\xff\xfe")
+    assert (code, out, err) == (2, "", f"symspec: error: {message.format(**places)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
 
 
 _ONE_OF_EACH_COMMAND = {
@@ -556,14 +605,6 @@ class TestSpectrum:
         assert code == 0
         assert out.strip() == "k,frequency,power,snr"
 
-    def test_requires_exactly_one_representation(self, run):
-        code, _, err = run(
-            ["spectrum", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"],
-            stdin_text="ACGT",
-        )
-        assert code == 2
-        assert "exactly one" in err
-
     def test_json_columns(self, run):
         code, out, _ = run(
             ["spectrum", "--alphabet", "ACGT", "--rep", "base", "--format", "json"],
@@ -656,6 +697,18 @@ def test_matrix_out_of_scale_prints_one_line(tmp_path, scale):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"symspec: error: matrix scale out of range: its largest entry is {scale:.3g},")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_malformed_matrix_file_prints_one_line(tmp_path):
+    """Regression: a row cell that is a JSON object exited 1 with a traceback."""
+    path = tmp_path / "object-cell.json"
+    path.write_text(json.dumps({**matrix_to_dict(build_zcurve()), "rows": [[{}, -1, 1, -1]] * 3}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symspec", "analyze", "--rep", f"file:{path}"],
+        input="ACGTTGCAAC\n", env=child_env(), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "symspec: error: matrix must be rows of numbers, all of one length\n"
 
 
 def _report(half_power, m, mean_noise, name="hand"):

@@ -391,6 +391,26 @@ class TestMatrixJson:
             apply_representation(ind, build_tetrahedron()).channels,
         )
 
+    # Regression: the first three escaped as TypeError (a traceback and exit 1
+    # in the CLI), the last three as ValueError with numpy's text.
+    @pytest.mark.parametrize("field, value, message", [
+        ("rows", [[{}, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+        ("alphabet_order", 5, "'alphabet_order' must be a list of symbols"),
+        ("alphabet_order", [["A"], "C", "G", "T"], "alphabet_order symbols must be single characters"),
+        ("rows", [[1, -1, 1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+        ("rows", [["x", -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+        ("rows", "ACGT", "matrix must be rows of numbers, all of one length"),
+    ], ids=["object-cell", "order-number", "order-nested", "ragged", "string-cell", "rows-string"])
+    def test_malformed_fields_raise_matrix_error(self, field, value, message):
+        obj = {**matrix_to_dict(build_zcurve()), field: value}
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            matrix_from_dict(obj)
+
+    def test_alphabet_order_symbols_are_single_characters(self):
+        # Regression: "AC" passed validation and failed only when applied.
+        with pytest.raises(MatrixError, match="^alphabet_order symbols must be single characters$"):
+            validate_row_orthogonal(build_zcurve().rows, alphabet_order=["AC", "G", "T", "X"])
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
