@@ -7,11 +7,15 @@ or seeded random sequences), spectrum (plot-ready per-bin CSV).
 ``main`` first calls ``_check``, which refuses every bad argument that the
 arguments alone decide, --output included, before any input is read.
 
-Every command runs each input record through one path, ``_spectra``:
-indicators, the base spectrum when a check or the base needs it, then each
-representation's spectrum, its total check, which also judges overflow,
-and, unless only the profile is wanted, its SNR-ratio check. A
-representation passes when both of its checks pass (``_passed``).
+analyze, compare and spectrum run their record through one path,
+``_spectra``: indicators, the base spectrum when a check or the base needs
+it, then each representation's spectrum, its total check, which also
+judges overflow (``_finite``), and, unless only the profile is wanted, its
+SNR-ratio check. verify needs no report: it binds each transform's table
+to the run's alphabet once, and takes each record's checks, the same bit
+for bit, from ``spectral.check_record``, one pass of the spectral kernel
+over the base's and every transform's rows. A representation passes when
+both of its checks pass (``_passed``).
 
 Each command renders its report as text pieces, lines of a text report or
 pieces of a JSON or CSV one, and hands them to ``_write``, the one writer,
@@ -21,8 +25,9 @@ in blocks of rows or items, never as one string; their bytes are those of
 ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
 k = 1 .. m//2 of each column are formatted and the strings mirrored.
 ``verify`` holds one record at a time: each is rendered, to its text line
-or its JSON item, as soon as its checks finish, and only those strings are
-kept until they are written, one piece each.
+or its JSON item (from a fixed layout, ``_verify_item``), as soon as its
+checks finish, and only those strings are kept until they are written,
+one piece each.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ import numpy as np
 from . import spectral
 from .representations import (
     RepresentationMatrix,
+    alphabet_table,
     apply_representation,
     build_helmert,
     build_indicators,
@@ -130,10 +136,6 @@ def _passfail(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 # glibc's handle once entry() has tuned malloc, else None. Module state, as
 # malloc's settings are state of the whole process.
 _tuned_libc = None
@@ -211,7 +213,7 @@ def _json(fields: dict):
     for i, key in enumerate(sorted(fields)):
         yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
         if not callable(fields[key]):
-            yield _json_text(fields[key]).replace("\n", "\n  ")
+            yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
             continue
         sep = "[\n    "
         for piece in fields[key]():
@@ -342,11 +344,20 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # judged by the total check below
                 report = spectral.spectrum_transformed(apply_representation(ind, rep))
-        total = spectral.verify_total_spectrum(ind, report=report)
-        if not (math.isfinite(total.expected) and math.isfinite(total.measured)):
-            raise ValueError(f"representation {name!r} at m = {seq.m}: its total spectrum overflows float64")
-        yield name, report, total, _ratio(ind, rep, base, report) if checks else None
+        total = _finite(name, seq.m, spectral.verify_total_spectrum(ind, report=report))
+        ratio = None
+        if checks:
+            ratio = _ratio(None if rep is None else spectral.snr_ratio_check(ind, rep, base=base, transformed=report),
+                           ind.m)
+        yield name, report, total, ratio
         del report  # not held while the next spectrum is computed
+
+
+def _finite(name: str, m: int, total: spectral.TotalSpectrumCheck) -> spectral.TotalSpectrumCheck:
+    """*total*, unless its expected or measured total is not a finite float: that is an error."""
+    if not (math.isfinite(total.expected) and math.isfinite(total.measured)):
+        raise ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
+    return total
 
 
 def _passed(total: spectral.TotalSpectrumCheck, ratio: dict) -> bool:
@@ -354,16 +365,15 @@ def _passed(total: spectral.TotalSpectrumCheck, ratio: dict) -> bool:
     return total.passed() and ratio["pass"]
 
 
-def _ratio(ind, rep: RepresentationMatrix | None, base, report) -> dict:
-    """The SNR-ratio check of *report* against *base*, as reports print it.
+def _ratio(rc: spectral.RatioCheck | None, m: int) -> dict:
+    """An SNR-ratio check of a record of length *m*, as reports print it.
 
-    Only its scalar fields are kept. The base against itself has the
-    reference ratio 1 at every bin.
+    Only its scalar fields are kept. None stands for the base against
+    itself, which has the reference ratio 1 at every bin.
     """
-    if rep is None:
-        return {"expected": 1.0, "max_dev": 0.0, "checked_bins": ind.m - 1, "skipped_bins": 0,
+    if rc is None:
+        return {"expected": 1.0, "max_dev": 0.0, "checked_bins": m - 1, "skipped_bins": 0,
                 "vacuous": False, "pass": True}
-    rc = spectral.snr_ratio_check(ind, rep, base=base, transformed=report)
     return {
         "expected": rc.expected,
         "max_dev": None if rc.vacuous else rc.max_deviation,
@@ -620,6 +630,67 @@ def cmd_compare(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+_JSON_BOOL = ("false", "true")
+
+# A verify record as json.dumps(item, indent=2, sort_keys=True) writes it at
+# depth 2 of the report, with each SNR-ratio entry at depth 4.
+_VERIFY_ITEM = """{
+      "id": %s,
+      "m": %d,
+      "snr_ratio": [
+        %s
+      ],
+      "total_spectrum": {
+        "expected": %s,
+        "measured": %s,
+        "pass": %s,
+        "relative_error": %s
+      }
+    }"""
+_VERIFY_RATIO = """{
+          "checked_bins": %d,
+          "expected": %s,
+          "max_dev": %s,
+          "pass": %s,
+          "representation": %s,
+          "skipped_bins": %d,
+          "vacuous": %s
+        }"""
+
+
+def _json_float(x: float) -> str:
+    """*x* as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _verify_item(item: dict) -> str:
+    """*item*, a verify record with at least one SNR-ratio entry, from the
+    fixed layout: the bytes of ``json.dumps(item, indent=2, sort_keys=True)``
+    at depth 2, without its pure-Python encoder."""
+    tot = item["total_spectrum"]
+    ratios = ",\n        ".join(
+        _VERIFY_RATIO % (
+            r["checked_bins"],
+            _json_float(r["expected"]),
+            "null" if r["max_dev"] is None else _json_float(r["max_dev"]),
+            _JSON_BOOL[r["pass"]],
+            json.dumps(r["representation"]),
+            r["skipped_bins"],
+            _JSON_BOOL[r["vacuous"]],
+        )
+        for r in item["snr_ratio"]
+    )
+    return _VERIFY_ITEM % (
+        json.dumps(item["id"]),
+        item["m"],
+        ratios,
+        _json_float(tot["expected"]),
+        _json_float(tot["measured"]),
+        _JSON_BOOL[tot["pass"]],
+        _json_float(tot["relative_error"]),
+    )
+
+
 def cmd_verify(args) -> int:
     tol = spectral.IDENTITY_RTOL
     seed = 0 if args.seed is None else args.seed
@@ -641,18 +712,21 @@ def cmd_verify(args) -> int:
     if not rep_names:
         is_dna = set(alphabet.symbols) == set("ACGT")
         rep_names = ["zcurve", "tetrahedron", "helmert"] if is_dna else ["helmert"]
-    # The base first, for its total check; a repeated --rep once.
-    reps = {"base": None, **{name: _resolve_rep(name, alphabet) for name in rep_names}}
+    # A repeated --rep once; each transform's table bound once to the run's one alphabet.
+    reps = {name: _resolve_rep(name, alphabet) for name in rep_names}
+    transforms = [(alphabet_table(rep, alphabet), rep.d) for rep in reps.values()]
 
     # Each record's JSON item or text line, rendered as soon as its checks finish.
     rendered, n_pass = [], 0
     for i, seq in enumerate(seqs):
-        checks = {}
-        for name, report, total, ratio in _spectra(seq, reps):
-            checks[name] = total, ratio
-            del report  # not held while the next spectrum is computed
-        n_pass += all(_passed(*check) for check in checks.values())
-        tot, record = checks["base"][0], seq.id or f"record-{i:03d}"
+        checks = spectral.check_record(build_indicators(seq), transforms)
+        tot, results = _finite("base", seq.m, next(checks)), {}
+        for name in reps:
+            total, rc = next(checks)
+            results[name] = _finite(name, seq.m, total), _ratio(rc, seq.m)
+            del rc  # not held while the next table is computed
+        n_pass += tot.passed() and all(_passed(*result) for result in results.values())
+        record = seq.id or f"record-{i:03d}"
         if args.format == "json":
             item = {
                 "id": record,
@@ -663,13 +737,13 @@ def cmd_verify(args) -> int:
                     "relative_error": tot.relative_error,
                     "pass": tot.passed(),
                 },
-                "snr_ratio": [{"representation": name, **checks[name][1]} for name in rep_names],
+                "snr_ratio": [{"representation": name, **results[name][1]} for name in rep_names],
             }
-            rendered.append(_json_text(item).replace("\n", "\n    "))
+            rendered.append(_verify_item(item))
         else:
             parts = [f"total-spectrum {_passfail(tot.passed())} (rel err {tot.relative_error:.3g})"]
             for name in rep_names:
-                total, sr = checks[name]
+                total, sr = results[name]
                 if sr["vacuous"] and total.passed():
                     parts.append(f"{name} PASS vacuous (no nonzero base bins)")
                     continue

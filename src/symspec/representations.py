@@ -59,6 +59,7 @@ __all__ = [
     "build_zcurve",
     "build_tetrahedron",
     "build_helmert",
+    "alphabet_table",
     "apply_representation",
     "cumulative_coordinates",
     "matrix_to_dict",
@@ -199,6 +200,8 @@ def validate_row_orthogonal(
         M = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError):
         raise MatrixError("matrix must be rows of numbers, all of one length") from None
+    except OverflowError:  # an int beyond float64's range
+        raise MatrixError("matrix entries must be finite") from None
     if M.ndim != 2:
         raise MatrixError("matrix must be two-dimensional")
     n_rows, n_cols = M.shape
@@ -341,32 +344,37 @@ class TransformedSignal:
         return f"TransformedSignal(name={self.name!r}, channels={self.n_channels}, m={self.m})"
 
 
+def alphabet_table(rep: RepresentationMatrix, alphabet: Alphabet) -> np.ndarray:
+    """*rep*'s rows with their columns put in *alphabet*'s order.
+
+    Columns are matched to symbols by the matrix's alphabet order when it
+    has one, positionally otherwise. Column t of the result is the channel
+    vector of the alphabet's symbol t, so a sequence's channels are the
+    result gathered at its codes.
+    """
+    T = alphabet.size
+    if rep.size != T:
+        raise MatrixError(f"matrix {rep.name!r} has {rep.size} columns but the alphabet {alphabet} has {T} symbols")
+    if rep.alphabet_order is None:
+        return rep.rows
+    for s in rep.alphabet_order:
+        if s not in alphabet:
+            raise MatrixError(f"matrix {rep.name!r} column symbol {s!r} is missing from alphabet {alphabet}")
+    table = np.empty_like(rep.rows)
+    table[:, [alphabet.index(s) for s in rep.alphabet_order]] = rep.rows
+    return table
+
+
 def apply_representation(ind: IndicatorMatrix, rep: RepresentationMatrix) -> TransformedSignal:
     """Transform indicator rows into T-1 channels.
 
-    Columns are matched to indicator rows by symbol when the matrix carries
-    an alphabet order, positionally otherwise. Every output entry is the dot
-    product of a matrix row with one indicator column, which has a single
-    nonzero term: the matrix entry in that position's symbol column. So the
-    result is the matrix with its columns put in the alphabet's order,
-    together with the indicators' codes; no channel is computed here.
+    Every output entry is the dot product of a matrix row with one indicator
+    column, which has a single nonzero term: the matrix entry in that
+    position's symbol column. So the result is the matrix with its columns
+    put in the alphabet's order (``alphabet_table``), together with the
+    indicators' codes; no channel is computed here.
     """
-    T = ind.alphabet.size
-    if rep.size != T:
-        raise MatrixError(
-            f"matrix {rep.name!r} has {rep.size} columns but the alphabet {ind.alphabet} has {T} symbols"
-        )
-    if rep.alphabet_order is None:
-        table = rep.rows
-    else:
-        for s in rep.alphabet_order:
-            if s not in ind.alphabet:
-                raise MatrixError(
-                    f"matrix {rep.name!r} column symbol {s!r} is missing from alphabet {ind.alphabet}"
-                )
-        table = np.empty_like(rep.rows)
-        table[:, [ind.alphabet.index(s) for s in rep.alphabet_order]] = rep.rows
-    return TransformedSignal(table=table, codes=ind.codes, name=rep.name, d=rep.d)
+    return TransformedSignal(table=alphabet_table(rep, ind.alphabet), codes=ind.codes, name=rep.name, d=rep.d)
 
 
 def cumulative_coordinates(sig: TransformedSignal) -> np.ndarray:
@@ -384,15 +392,28 @@ def matrix_to_dict(rep: RepresentationMatrix) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number as json.loads reads it: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def matrix_from_dict(obj: dict) -> RepresentationMatrix:
-    """Rebuild and re-validate a matrix from its JSON dict form."""
+    """Rebuild and re-validate a matrix from its JSON dict form.
+
+    Every cell of ``rows`` and ``d`` must be a number: a string such as
+    ``"1"`` or a boolean is refused, not read as one.
+    """
     if not isinstance(obj, dict):
         raise MatrixError("matrix JSON must be an object")
+    rows, declared_d = obj.get("rows"), obj.get("d")
     try:
-        rows = obj["rows"]
-        declared_d = float(obj["d"])
-    except (KeyError, TypeError, ValueError):
-        raise MatrixError("matrix JSON needs 'rows' and a numeric 'd'") from None
+        declared_d = float(declared_d) if "rows" in obj and _is_number(declared_d) else None
+    except OverflowError:  # an int beyond float64's range
+        declared_d = None
+    if declared_d is None:
+        raise MatrixError("matrix JSON needs 'rows' and a numeric 'd'")
+    if not (isinstance(rows, list) and all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)):
+        raise MatrixError("matrix must be rows of numbers, all of one length")
     order = obj.get("alphabet_order")
     if order:
         try:

@@ -19,27 +19,31 @@ spectrum away from k = 0:
 ``verify_total_spectrum`` measures the total of a base or a transformed
 report against m^2 or d^2 (T-1)/T m^2, and ``snr_ratio_check`` the SNR
 ratio; both accept reports the caller already holds, so a command computes
-each spectrum once.
+each spectrum once. ``check_record`` makes the same checks, bit for bit,
+for one record and several transforms, without building a report.
 
 Every representation is a table gathered at the sequence's codes (see
 symspec.representations): the identity for the indicator rows, the
-transform in alphabet column order for the channels. Base and transformed
-reports take their power from one kernel, ``_power(table, codes)``, which
-gathers a few rows of ``table[:, codes]`` at a time, runs a real-input
-FFT on them and adds each row's power into one running sum; no dense
-T x m array is ever held. Real rows give P(k) = P(m - k) exactly, so a
-report stores bins k = 0 .. m//2 only: its ``power`` and ``snr`` are
-mirrored from them on first access, and the checks and lookups here read
-the half. A ``RatioCheck`` likewise stores its ratios at k = 0 .. m//2 and
-mirrors ``ratios`` on access. ``dft_naive`` is the O(m^2) direct-summation
-reference that reports' power and the public complex-input ``dft_fast``
-are both tested against, bin for bin.
+transform in alphabet column order for the channels. Reports and
+``check_record`` take their power from one kernel, ``_powers(tables,
+codes)``, which takes the rows of several tables in order, gathers a few
+rows of ``table[:, codes]`` at a time (a batch may span tables), runs one
+real-input FFT per batch and adds each row's power into its table's
+running sum; no dense T x m array is ever held. Real rows give
+P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2 only: its
+``power`` and ``snr`` are mirrored from them on first access, and the
+checks and lookups here read the half. A ``RatioCheck`` likewise stores
+its ratios at k = 0 .. m//2 and mirrors ``ratios`` on access.
+``dft_naive`` is the O(m^2) direct-summation reference that reports' power
+and the public complex-input ``dft_fast`` are both tested against, bin for
+bin.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,6 +64,7 @@ __all__ = [
     "spectrum_transformed",
     "snr_ratio_check",
     "verify_total_spectrum",
+    "check_record",
     "periodicity_query",
 ]
 
@@ -67,11 +72,13 @@ IDENTITY_RTOL = 1e-9   # relative tolerance for the spectral identities
 DFT_MATCH_TOL = 1e-9   # per-bin fast-vs-naive tolerance (relative, floor 1e-9)
 BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 
-# Samples (rows x m) per batch of rows gathered by _power: from m > 2**19 a
-# batch is one row. Measured with numpy 2.4 at m = 1e6, glibc's malloc tuned
-# as cli.entry() tunes it: numpy builds a new rfft plan on every call, and a
-# one-row call took 16-19 ms against 12-13 ms per row in a two-row call, yet
-# 2**21 (two rows per call) raised the peak RSS of a three-rep DNA analyze
+# Samples (rows x m) per batch of rows gathered by _powers: from m > 2**19 a
+# batch is one row; at verify's m <= 2000, one batch holds every row of a
+# record (13 for DNA with three transforms, 39 for protein with Helmert).
+# Measured with numpy 2.4 at m = 1e6, glibc's malloc tuned as cli.entry()
+# tunes it: numpy builds a new rfft plan on every call, and a one-row call
+# took 16-19 ms against 12-13 ms per row in a two-row call, yet 2**21 (two
+# rows per call) raised the peak RSS of a three-rep DNA analyze
 # from 74 to 112 MB with no end-to-end speed-up. One row in flight holds
 # about 32 B/sample (the input, the half-length complex output, the plan's
 # twiddles and scratch); and a length with a large prime factor costs about
@@ -162,42 +169,66 @@ def _mirror(half: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _power(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Summed power spectrum sum_l |DFT(table[l, codes])(k)|^2 at k = 0 .. m//2.
+def _powers(tables, codes: np.ndarray):
+    """Yield sum_l |DFT(table[l, codes])(k)|^2 at k = 0 .. m//2 for each table in turn.
 
-    Row l of the signal is table row l gathered at the codes: the identity
-    table gives the indicator rows, a transform's table (columns in alphabet
-    order) its channels. Rows are gathered a batch at a time, about
-    _BLOCK_BINS / m rows, so the gathered rows and their spectra together
-    take about as much memory as _BLOCK_BINS complex bins (16 MiB), and the
-    dense rows are never held. ``np.take`` widens one-byte codes to intp
-    on each call: at m = 1e6 about 0.6 ms and 8 B/symbol for the length of
-    the gather, against some 25 ms for the row's rfft.
+    Row l of a table's signal is its row l gathered at the codes: the
+    identity table gives the indicator rows, a transform's table (columns in
+    alphabet order) its channels. The tables' rows are taken in order, a
+    batch of about _BLOCK_BINS / m rows at a time, and a batch may span
+    tables: each batch is one ``np.take`` and one ``rfft``, so the gathered
+    rows and their spectra together take about as much memory as
+    _BLOCK_BINS complex bins (16 MiB), and the dense rows are never held.
+    ``np.take`` widens one-byte codes to intp on each call: at m = 1e6
+    about 0.6 ms and 8 B/symbol for the length of the gather, against some
+    25 ms for the row's rfft. A table's half power is yielded once its last
+    row has been summed and the batch has been dropped, and is not kept.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
-    power: P(k) = P(m - k) for the rest. Row powers go into one running sum,
-    row after row, so the power is bit for bit that of one rfft over all the
-    dense rows summed with ``sum(axis=0)``, whatever the batch size.
+    power: P(k) = P(m - k) for the rest. Each table's row powers go into one
+    running sum, row after row, so its power is bit for bit that of one
+    rfft over all its dense rows summed with ``sum(axis=0)``, whatever the
+    batch size and whatever the other tables.
     """
     m = codes.size
-    half = np.zeros(m // 2 + 1)
+    rows = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    ends = list(accumulate(table.shape[0] for table in tables))  # past each table's last row
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
-    for first in range(0, table.shape[0], batch):
-        spectra = np.fft.rfft(np.take(table[first : first + batch], codes, axis=1), axis=1)
+    t, half, done = 0, None, []
+    for first in range(0, ends[-1], batch):
+        # A table's running sum is allocated before the batch's arrays: after
+        # them, it raised the peak RSS of analyze at m = 1e6 by 4 MB.
+        if half is None:
+            half = np.zeros(m // 2 + 1)
+        spectra = np.fft.rfft(np.take(rows[first : first + batch], codes, axis=1), axis=1)
         power = spectra.real**2
         power += spectra.imag**2
-        power[0] += half  # so the sum below continues the running sum
-        power.sum(axis=0, out=half)
-        del spectra, power  # before the next batch is gathered
-    return half
+        del spectra
+        lo, stop = first, first + power.shape[0]
+        while lo < stop:  # the batch's rows of table t, then of the next
+            hi = min(ends[t], stop)
+            block = power[lo - first : hi - first]
+            block[0] += half  # so the sum below continues the table's running sum
+            block.sum(axis=0, out=half)
+            if hi == ends[t]:  # table t is done; the next starts in this batch or the next one
+                done.append(half)
+                t, half = t + 1, np.zeros(m // 2 + 1) if hi < stop else None
+            lo = hi
+        del power, block  # before the finished tables are handed over
+        while done:
+            yield done.pop(0)
+
+
+def _total(half: np.ndarray, m: int) -> float:
+    """The total power, summed over all m bins: a weighted sum of the half changes the last bits."""
+    return float(np.sum(_mirror(half, m)))
 
 
 def _report(name: str, size: int, d: float | None, table: np.ndarray, codes: np.ndarray) -> SpectrumReport:
-    half_power = _power(table, codes)
+    (half_power,) = _powers([table], codes)
     half_power.setflags(write=False)  # kept by the report as it is
     m = codes.size
-    # Summed over all m bins: a weighted sum of the half changes the last bits.
-    total = float(np.sum(_mirror(half_power, m)))
+    total = _total(half_power, m)
     return SpectrumReport(
         representation=name,
         m=m,
@@ -260,13 +291,13 @@ def verify_total_spectrum(
         report = spectrum_base(ind)
     else:
         _require_match(report, ind, "base" if report.d is None else "transformed")
-    T = ind.alphabet.size
-    expected = float(ind.m) ** 2 if report.d is None else report.d**2 * (T - 1) / T * float(ind.m) ** 2
-    return TotalSpectrumCheck(
-        expected=expected,
-        measured=report.total,
-        relative_error=abs(report.total - expected) / expected,
-    )
+    return _total_check(ind.m, ind.alphabet.size, report.d, report.total)
+
+
+def _total_check(m: int, T: int, d: float | None, measured: float) -> TotalSpectrumCheck:
+    """*measured* against the identity: m^2 for the base (d None), d^2 (T-1)/T m^2 for a transform."""
+    expected = float(m) ** 2 if d is None else d**2 * (T - 1) / T * float(m) ** 2
+    return TotalSpectrumCheck(expected=expected, measured=measured, relative_error=abs(measured - expected) / expected)
 
 
 @dataclass(frozen=True, repr=False)
@@ -326,23 +357,63 @@ def snr_ratio_check(
         transformed = spectrum_transformed(apply_representation(ind, rep))
     else:
         _require_match(transformed, ind, "transformed")
-    T, m = ind.alphabet.size, ind.m
+    return _ratio_check(ind.alphabet.size, ind.m, base.half_power, base.mean_noise,
+                        transformed.half_power, transformed.mean_noise)
+
+
+def _ratio_check(T: int, m: int, base_half, base_noise: float, half, noise: float) -> RatioCheck:
+    """The SNR ratios of half power *half* (mean noise *noise*) against the base's, at k = 0 .. m//2."""
     expected = T / (T - 1.0)
-    base_snr = base.half_power / base.mean_noise
+    base_snr = base_half / base_noise
     mask = base_snr > BASE_SNR_FLOOR
     mask[0] = False  # k = 0 has no SNR; bin k < m/2 is counted for m - k too
-    half = np.full(mask.size, np.nan)
-    half[mask] = (transformed.half_power[mask] / transformed.mean_noise) / base_snr[mask]
+    ratios = np.full(mask.size, np.nan)
+    ratios[mask] = (half[mask] / noise) / base_snr[mask]
     checked = 2 * int(np.count_nonzero(mask)) - int(m % 2 == 0 and mask[-1])
-    max_dev = float(np.max(np.abs(half[mask] - expected))) if checked else math.nan
-    half.setflags(write=False)  # kept by the result as it is
+    max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
+    ratios.setflags(write=False)  # kept by the result as it is
     return RatioCheck(
         expected=expected,
-        half_ratios=half,
+        half_ratios=ratios,
         max_deviation=max_dev,
         checked_bins=checked,
         skipped_bins=m - 1 - checked,
     )
+
+
+def check_record(ind: IndicatorMatrix, transforms):
+    """The identity checks of one record, in one pass and without a report.
+
+    *transforms* holds one (table, d) pair per transform: its (T-1) x T
+    table with columns in the alphabet's order (``alphabet_table``) and its
+    row norm. Yields the base ``TotalSpectrumCheck``, then, for each
+    transform in turn, its ``TotalSpectrumCheck`` and its ``RatioCheck``:
+    the results, bit for bit, of ``verify_total_spectrum`` and
+    ``snr_ratio_check`` on ``spectrum_base`` and ``spectrum_transformed``.
+
+    All the record's tables go through one ``_powers`` pass, so while its
+    rows fit one batch that is one ``np.take`` and one ``rfft``. Only the
+    base half power is kept, until the last ratio; each transform's half is
+    dropped once its checks are made. A transform whose power or total
+    overflows float64 raises no numpy warning: its total check holds a
+    total that is not finite, and fails.
+    """
+    T, m = ind.alphabet.size, ind.m
+    halves = _powers([ind.table, *(table for table, _ in transforms)], ind.codes)
+    with np.errstate(over="ignore", invalid="ignore"):  # the transforms' rows may be in this batch
+        base = next(halves)
+    base_total = _total(base, m)
+    yield _total_check(m, T, None, base_total)
+    for i, (_, d) in enumerate(transforms, 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged by the total check
+            half = next(halves)
+            total = _total(half, m)
+            ratio = _ratio_check(T, m, base, base_total / m, half, total / m)
+        del half  # not held while the next table is computed
+        if i == len(transforms):
+            del base  # the last ratio is done
+        yield _total_check(m, T, d, total), ratio
+        del ratio
 
 
 @dataclass(frozen=True)

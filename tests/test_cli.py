@@ -14,6 +14,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symspec import build_helmert, build_zcurve, cli, matrix_to_dict, save_matrix, spectral, validate_row_orthogonal
 from symspec.cli import _profile_csv, _profile_json, main
@@ -285,13 +287,15 @@ class TestVerify:
     def test_a_failed_transform_total_fails_its_record(self, run, monkeypatch, fmt):
         """verify judges each representation it computes, the base and every
         transform, by its total and its SNR ratios, as analyze does."""
-        checked = spectral.verify_total_spectrum
+        checked = spectral.check_record
 
-        def transforms_fail(ind, *, report=None):
-            check = checked(ind, report=report)
-            return check if report.d is None else dataclasses.replace(check, relative_error=1.0)
+        def transforms_fail(ind, transforms):
+            checks = checked(ind, transforms)
+            yield next(checks)  # the base total
+            for total, ratio in checks:
+                yield dataclasses.replace(total, relative_error=1.0), ratio
 
-        monkeypatch.setattr(spectral, "verify_total_spectrum", transforms_fail)
+        monkeypatch.setattr(spectral, "check_record", transforms_fail)
         code, out, _ = run(["verify", "--random", "3", "--seed", "3", "--format", fmt])
         assert code == 1
         if fmt == "json":
@@ -303,6 +307,20 @@ class TestVerify:
             assert "result: FAIL (0/3 sequences)" in out
             for name in ("zcurve", "tetrahedron", "helmert"):
                 assert out.count(f" {name} FAIL (total rel err 1, max dev ") == 3, out
+
+
+    @pytest.mark.parametrize("order, message", [
+        ("ACGX", "column symbol 'X' is missing from alphabet ACGT"),
+        ("ACG", "has 3 columns but the alphabet ACGT has 4 symbols"),
+    ], ids=["symbol", "size"])
+    def test_a_matrix_that_does_not_fit_is_refused_before_the_first_record(self, run, monkeypatch, tmp_path,
+                                                                            order, message):
+        rows = build_zcurve().rows if len(order) == 4 else build_helmert(3).rows
+        path = tmp_path / "matrix.json"
+        save_matrix(validate_row_orthogonal(rows, alphabet_order=tuple(order), name="m"), path)
+        monkeypatch.setattr(spectral, "check_record", None)  # any record checked would raise TypeError
+        code, out, err = run(["verify", "--rep", f"file:{path}"], stdin_text=">a\nACGT\n>b\nGGCA\n")
+        assert (code, out, err) == (2, "", f"symspec: error: matrix 'm' {message}\n")
 
 
 class TestVerifyHoldsOneRecord:
@@ -533,13 +551,22 @@ class TestSpectraComputedOnce:
         assert code == 0, err
         assert calls == {"base": 1, "transformed": 1}
 
-    def test_verify_two_records(self, run, calls):
+    def test_verify_two_records(self, run, calls, monkeypatch):
+        """verify makes no report: each record's checks take the base's and
+        each transform's rows through one check_record pass."""
+        passes, rows = [], []
+        check_record, rfft = spectral.check_record, np.fft.rfft
+        monkeypatch.setattr(spectral, "check_record", lambda ind, transforms: passes.append(len(transforms))
+                            or check_record(ind, transforms))
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: rows.append(len(a)) or rfft(a, *args, **kwargs))
         code, _, err = run(
             ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert", "--rep", "helmert"],
             stdin_text=">a\nACGTTGCA\n>b\nGGCATTACA\n",
         )
         assert code == 0, err
-        assert calls == {"base": 2, "transformed": 6}
+        assert passes == [3, 3]  # the base and three transforms per record, helmert once
+        assert rows == [4 + 3 * 3] * 2
+        assert calls == {"base": 0, "transformed": 0}
 
     @pytest.mark.parametrize(
         "rep, expected", [("base", {"base": 1, "transformed": 0}), ("zcurve", {"base": 0, "transformed": 1})]
@@ -571,8 +598,16 @@ class TestRatioChecksKeepTheirHalf:
             checks.append(check := original(*args, **kwargs))
             return check
 
-        original = spectral.snr_ratio_check
+        def keeping_record(ind, transforms):
+            checks_ = record(ind, transforms)
+            yield next(checks_)  # the base total
+            for total, check in checks_:
+                checks.append(check)
+                yield total, check
+
+        original, record = spectral.snr_ratio_check, spectral.check_record
         monkeypatch.setattr(spectral, "snr_ratio_check", keeping)
+        monkeypatch.setattr(spectral, "check_record", keeping_record)  # verify's path
         code, _, err = run(argv, stdin_text=stdin_text)
         assert code == 0, err
         assert checks
@@ -659,8 +694,10 @@ class TestTotalSpectrumOverflow:
         text, m, rows = case
         rep = _overflowing_matrix(tmp_path / "huge.json", rows)
         calls = []
-        transformed = spectral.spectrum_transformed
+        transformed, record = spectral.spectrum_transformed, spectral.check_record
         monkeypatch.setattr(spectral, "spectrum_transformed", lambda sig: calls.append(sig) or transformed(sig))
+        monkeypatch.setattr(spectral, "check_record",  # verify's path
+                            lambda ind, transforms: calls.append(transforms) or record(ind, transforms))
         code, out, err = run(OVERFLOW_ARGV[key] + ["--rep", rep], stdin_text=text)
         assert (code, out) == (2, "")
         assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
@@ -709,6 +746,76 @@ def test_malformed_matrix_file_prints_one_line(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "symspec: error: matrix must be rows of numbers, all of one length\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rows", [["1", -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+    ("rows", [[True, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+    ("d", "2", "matrix JSON needs 'rows' and a numeric 'd'"),
+    ("d", True, "matrix JSON needs 'rows' and a numeric 'd'"),
+], ids=["string-cell", "bool-cell", "string-d", "bool-d"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_matrix_numbers_that_are_not_numbers_are_refused(run, tmp_path, command, field, value, message):
+    """Regression: each of these loaded as the number it spells."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({**matrix_to_dict(build_zcurve()), field: value}))
+    assert run([command, "--rep", f"file:{path}"], stdin_text="ACGTTGCAAC\n") == (2, "", f"symspec: error: {message}\n")
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf])
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;') | st.characters())
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    record=_TEXT,
+    m=st.integers(1, 10**9),
+    total=st.fixed_dictionaries({"expected": _FLOATS, "measured": _FLOATS, "relative_error": _FLOATS,
+                                 "pass": st.booleans()}),
+    ratios=st.lists(st.fixed_dictionaries({
+        "representation": _TEXT,
+        "expected": _FLOATS,
+        "max_dev": st.none() | _FLOATS,
+        "checked_bins": st.integers(0, 10**9),
+        "skipped_bins": st.integers(0, 10**9),
+        "vacuous": st.booleans(),
+        "pass": st.booleans(),
+    }), min_size=1, max_size=4),
+)
+def test_verify_item_layout_is_json_dumps(record, m, total, ratios):
+    """verify's fixed layout writes each record as json.dumps(indent=2,
+    sort_keys=True) writes it at depth 2: NaN, infinities, -0.0, subnormal
+    and huge floats, a null max_dev, and ids with quotes, backslashes,
+    control characters and non-ASCII text (a FASTA header may hold any)."""
+    item = {"id": record, "m": m, "total_spectrum": total, "snr_ratio": ratios}
+    assert cli._verify_item(item) == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+class TestVerifyOnePassPerRecord:
+    """verify takes each record's rows, the base's and every transform's,
+    through one rfft while they fit one batch of the kernel."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The number of rows of each rfft call."""
+        rows, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: rows.append(len(a)) or rfft(a, *args, **kwargs))
+        return rows
+
+    @pytest.mark.parametrize("size, per_record", [("4", 4 + 3 * 3), ("20", 20 + 19)])
+    def test_one_rfft_per_record(self, run, rows, size, per_record):
+        code, _, err = run(["verify", "--random", "40", "--seed", "5", "--alphabet-size", size])
+        assert code == 0, err
+        assert rows == [per_record] * 40
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_small_batches_write_the_same_bytes(self, run, rows, monkeypatch, fmt):
+        argv = ["verify", "--random", "40", "--seed", "5", "--format", fmt]
+        whole = run(argv)
+        one_per_record = len(rows)
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 3000)  # from m = 231, batches split tables and span them
+        assert run(argv) == whole
+        assert len(rows) - one_per_record > one_per_record
 
 
 def _report(half_power, m, mean_noise, name="hand"):
@@ -833,6 +940,14 @@ class TestMallocTuning:
 
         monkeypatch.setattr(spectral, "spectrum_base", logged("spectrum", spectral.spectrum_base))
         monkeypatch.setattr(spectral, "spectrum_transformed", logged("spectrum", spectral.spectrum_transformed))
+
+        def logged_checks(ind, transforms):  # verify's path: each check as it is made
+            for check in record(ind, transforms):
+                libc.calls.append("spectrum")
+                yield check
+
+        record = spectral.check_record
+        monkeypatch.setattr(spectral, "check_record", logged_checks)
         monkeypatch.setattr(cli, "_float_strings", logged("format", cli._float_strings))
         code, _, err = run_entry(COMMAND_ARGV[key], DNA_TEXT)
         assert code == 0, err
@@ -939,7 +1054,23 @@ class TestReportsKeptForProfilesOnly:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_verify_drops_each_transformed_report(self, run, monkeypatch, fmt):
-        alive = self._track(monkeypatch)
+        """verify makes no report. Of the half spectra that each record's
+        check_record takes from the kernel, the base's lives until the
+        record's last ratio check, and each transform's is dropped before the
+        next is handed over."""
+        halves, alive, powers, original_write = [], [], spectral._powers, cli._write
+
+        def tracked(half):
+            alive.append([ref() is not None for ref in halves])
+            halves.append(weakref.ref(half))
+            return half
+
+        def write(args, pieces):
+            alive.append([ref() is not None for ref in halves])
+            return original_write(args, pieces)
+
+        monkeypatch.setattr(spectral, "_powers", lambda tables, codes: map(tracked, powers(tables, codes)))
+        monkeypatch.setattr(cli, "_write", write)
         reps = ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
         code, _, err = run(["verify", "--format", fmt, *reps], stdin_text=DNA_TEXT + ">y\nGGCATTACA\n")
         assert code == 0, err
@@ -970,13 +1101,13 @@ class TestAnalyzeBytesPerSymbol:
     def test_held_and_peak_bytes(self, tmp_path, monkeypatch, symbols, reps):
         m = 1_000_000
         held = []
-        power = spectral._power
+        powers = spectral._powers
 
-        def tracing(table, codes):
+        def tracing(tables, codes):
             held.append(tracemalloc.get_traced_memory()[0])
-            return power(table, codes)
+            return powers(tables, codes)
 
-        monkeypatch.setattr(spectral, "_power", tracing)
+        monkeypatch.setattr(spectral, "_powers", tracing)
 
         def analyze(path):
             return main(["analyze", "--input", str(path), "--output", str(tmp_path / "out.json"),

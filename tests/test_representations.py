@@ -406,6 +406,28 @@ class TestMatrixJson:
         with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
             matrix_from_dict(obj)
 
+    # json.loads reads these as str, bool or an int beyond float64; numpy
+    # would read the first two as numbers and refuse the last with an
+    # OverflowError, a traceback in the CLI.
+    @pytest.mark.parametrize("field, value, message", [
+        ("rows", [["1", -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+        ("rows", [[True, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix must be rows of numbers, all of one length"),
+        ("rows", [[10**400, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "matrix entries must be finite"),
+        ("d", "2", "matrix JSON needs 'rows' and a numeric 'd'"),
+        ("d", True, "matrix JSON needs 'rows' and a numeric 'd'"),
+        ("d", 10**400, "matrix JSON needs 'rows' and a numeric 'd'"),
+    ], ids=["string-number-cell", "bool-cell", "huge-int-cell", "string-d", "bool-d", "huge-int-d"])
+    def test_numbers_only(self, field, value, message):
+        obj = {**matrix_to_dict(build_zcurve()), field: value}
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            matrix_from_dict(obj)
+
+    def test_int_cells_load(self):
+        obj = {**matrix_to_dict(build_zcurve()), "rows": [[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], "d": 2}
+        rep = matrix_from_dict(json.loads(json.dumps(obj)))
+        assert rep.rows.tobytes() == build_zcurve().rows.tobytes()
+        assert rep.d == 2.0
+
     def test_alphabet_order_symbols_are_single_characters(self):
         # Regression: "AC" passed validation and failed only when applied.
         with pytest.raises(MatrixError, match="^alphabet_order symbols must be single characters$"):

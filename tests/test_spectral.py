@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,20 +14,24 @@ from symspec import (
     DNA,
     PROTEIN,
     SymbolicSequence,
+    alphabet_table,
     apply_representation,
     build_helmert,
     build_indicators,
     build_tetrahedron,
     build_zcurve,
+    check_record,
     default_alphabet,
     dft_fast,
     dft_naive,
+    load_matrix,
     periodicity_query,
     random_sequence,
     sequence_from_string,
     snr_ratio_check,
     spectrum_base,
     spectrum_transformed,
+    save_matrix,
     validate_row_orthogonal,
     verify_total_spectrum,
 )
@@ -152,6 +157,91 @@ class TestPowerKernel:
             got = report.power
             want = _power_of_dense_rows(rows)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCheckRecord:
+    """check_record is bit for bit the checks of the reports it does not
+    make: spectrum_base and spectrum_transformed, then verify_total_spectrum
+    and snr_ratio_check, field by field, whatever the batches."""
+
+    LENGTHS = [1, 2, 3, 5, 7, 13, 101, 1009, 1999, 4, 8, 64, 1024, 2048, *range(2001, 2101)]
+
+    @staticmethod
+    def _transforms(size, tmp_path):
+        """The built-in transforms for *size* symbols, and a file: matrix with no alphabet order."""
+        rng = np.random.default_rng(size)
+        q, _ = np.linalg.qr(rng.standard_normal((size - 1, size - 1)))
+        path = tmp_path / f"rotated-{size}.json"
+        save_matrix(validate_row_orthogonal(3.7 * q @ build_helmert(size).rows, name="rotated"), path)
+        built_in = [build_zcurve(), build_tetrahedron()] if size == 4 else []
+        return [*built_in, build_helmert(size), load_matrix(path)]
+
+    @staticmethod
+    def _fields(check):
+        """Every field of a check, floats and arrays by their bits."""
+        return [
+            value.tobytes() if isinstance(value, np.ndarray) else _bits(value).tobytes() if isinstance(value, float)
+            else value
+            for value in vars(check).values()
+        ]
+
+    def _assert_same(self, ind, reps):
+        alphabet = ind.alphabet
+        got = list(check_record(ind, [(alphabet_table(rep, alphabet), rep.d) for rep in reps]))
+        base = spectrum_base(ind)
+        assert self._fields(got[0]) == self._fields(verify_total_spectrum(ind, report=base))
+        assert len(got) == 1 + len(reps)
+        for (total, ratio), rep in zip(got[1:], reps):
+            report = spectrum_transformed(apply_representation(ind, rep))
+            assert self._fields(total) == self._fields(verify_total_spectrum(ind, report=report)), (ind.m, rep.name)
+            want = snr_ratio_check(ind, rep, base=base, transformed=report)
+            assert self._fields(ratio) == self._fields(want), (ind.m, rep.name)
+
+    # Rows per batch, as a multiple of m: 0 leaves _BLOCK_BINS as it is (one
+    # batch); 1 is one row per batch; 3 splits tables and spans them.
+    @pytest.mark.parametrize("rows_per_batch", [0, 1, 3])
+    @pytest.mark.parametrize("size", [2, 3, 4, 20])
+    def test_bit_identical_to_the_reports(self, monkeypatch, tmp_path, size, rows_per_batch):
+        reps = self._transforms(size, tmp_path)
+        rng = np.random.default_rng([size, rows_per_batch])
+        for m in self.LENGTHS:
+            if rows_per_batch:
+                monkeypatch.setattr(spectral, "_BLOCK_BINS", rows_per_batch * m)
+            self._assert_same(build_indicators(random_sequence(default_alphabet(size), m, rng)), reps)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 64])
+    def test_vacuous_record(self, tmp_path, m):
+        ind = build_indicators(dna("G" * m))
+        self._assert_same(ind, self._transforms(4, tmp_path))
+        checks = list(check_record(ind, [(alphabet_table(build_zcurve(), DNA), 2.0)]))
+        assert checks[1][1].vacuous and checks[1][1].passed()
+
+    def test_keeps_only_the_base_half(self, monkeypatch):
+        """Each transform's half is dropped before the next is made; the
+        base's is dropped once the last ratio is done."""
+        halves, alive, powers = [], [], spectral._powers
+
+        def tracked(half):
+            alive.append([ref() is not None for ref in halves])
+            halves.append(weakref.ref(half))
+            return half
+
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 100)  # one row per batch
+        monkeypatch.setattr(spectral, "_powers", lambda tables, codes: map(tracked, powers(tables, codes)))
+        ind = build_indicators(random_sequence(DNA, 100, np.random.default_rng(3)))
+        reps = [build_zcurve(), build_tetrahedron(), build_helmert(4)]
+        checks = check_record(ind, [(alphabet_table(rep, DNA), rep.d) for rep in reps])
+        for check in checks:
+            del check
+        assert alive == [[], [True], [True, False], [True, False, False]]
+        assert [ref() is not None for ref in halves] == [False] * 4
+
+    def test_overflow_fails_the_total_without_a_warning(self):
+        # At 1e153, d^2 (T-1)/T m^2 overflows at m = 15, and so does the k = 0 bin's power.
+        ind = build_indicators(dna("ACGTTGCAACGGTAC"))
+        _, (total, _) = check_record(ind, [(alphabet_table(build_zcurve(), DNA) * 1e153, 2e153)])
+        assert not (math.isfinite(total.expected) and math.isfinite(total.measured))
+        assert not total.passed()
 
 
 class TestLargeLengthOracle:
