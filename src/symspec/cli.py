@@ -283,7 +283,11 @@ def _check(args) -> None:
 
 
 def _read_input(args) -> tuple[str, str]:
-    """Input text and its label; bytes that are not UTF-8 are an error, not data."""
+    """Input text and its label; bytes that are not UTF-8 are an error, not data.
+
+    One leading byte-order mark, which some editors write, is dropped; a
+    U+FEFF anywhere else is an ordinary character.
+    """
     if args.input in (None, "-"):
         buffer = getattr(sys.stdin, "buffer", None)
         if buffer is None:  # a text stream put in place of stdin by an embedding caller
@@ -293,7 +297,7 @@ def _read_input(args) -> tuple[str, str]:
         path = Path(args.input)
         data, label = path.read_bytes(), str(path)
     try:
-        return data.decode("utf-8"), label
+        return data.decode("utf-8-sig"), label
     except UnicodeDecodeError as exc:
         raise SequenceError(f"{label}: input is not UTF-8 text ({exc})") from None
 

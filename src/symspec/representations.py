@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -91,6 +92,19 @@ def _checked_codes(codes, size: int) -> np.ndarray:
     return codes
 
 
+@lru_cache(maxsize=None)
+def _identity(size: int) -> np.ndarray:
+    """The *size* x *size* identity, read-only, as a view over 2*size - 1 floats.
+
+    Row t is the window of *size* floats that starts t places before the
+    one 1, so no dense T x T array is made (3.2 GB at T = 20 000). Built
+    once per size: a new view costs about ten times ``np.eye(4)``.
+    """
+    line = np.zeros(2 * size - 1)
+    line[size - 1] = 1.0
+    return np.lib.stride_tricks.sliding_window_view(line, size)[::-1]
+
+
 def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """``table[:, codes]``, read-only: one column per sequence position."""
     rows = np.take(table, codes, axis=1)
@@ -121,8 +135,8 @@ class IndicatorMatrix:
 
     @property
     def table(self) -> np.ndarray:
-        """T x T identity: column t is the basic vector of symbol t."""
-        return np.eye(self.alphabet.size)
+        """T x T identity, read-only: column t is the basic vector of symbol t."""
+        return _identity(self.alphabet.size)
 
     @property
     def rows(self) -> np.ndarray:

@@ -176,9 +176,10 @@ def _powers(tables, codes: np.ndarray):
     identity table gives the indicator rows, a transform's table (columns in
     alphabet order) its channels. The tables' rows are taken in order, a
     batch of about _BLOCK_BINS / m rows at a time, and a batch may span
-    tables: each batch is one ``np.take`` and one ``rfft``, so the gathered
-    rows and their spectra together take about as much memory as
-    _BLOCK_BINS complex bins (16 MiB), and the dense rows are never held.
+    tables: each batch is one ``np.take`` from slices of the tables it spans
+    and one ``rfft``, so the gathered rows and their spectra together take
+    about as much memory as _BLOCK_BINS complex bins (16 MiB), and neither
+    the dense rows nor all the tables joined are ever held.
     ``np.take`` widens one-byte codes to intp on each call: at m = 1e6
     about 0.6 ms and 8 B/symbol for the length of the gather, against some
     25 ms for the row's rfft. A table's half power is yielded once its last
@@ -191,8 +192,8 @@ def _powers(tables, codes: np.ndarray):
     batch size and whatever the other tables.
     """
     m = codes.size
-    rows = tables[0] if len(tables) == 1 else np.concatenate(tables)
     ends = list(accumulate(table.shape[0] for table in tables))  # past each table's last row
+    starts = [0, *ends[:-1]]
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
     t, half, done = 0, None, []
     for first in range(0, ends[-1], batch):
@@ -200,11 +201,16 @@ def _powers(tables, codes: np.ndarray):
         # them, it raised the peak RSS of analyze at m = 1e6 by 4 MB.
         if half is None:
             half = np.zeros(m // 2 + 1)
-        spectra = np.fft.rfft(np.take(rows[first : first + batch], codes, axis=1), axis=1)
+        stop = min(first + batch, ends[-1])
+        # The batch's rows, sliced from the tables it spans (table t first): the
+        # tables are never joined whole, so a T x T identity costs only its batch.
+        rows = [tables[u][max(first - starts[u], 0) : stop - starts[u]]
+                for u in range(t, len(tables)) if starts[u] < stop]
+        spectra = np.fft.rfft(np.take(rows[0] if len(rows) == 1 else np.concatenate(rows), codes, axis=1), axis=1)
         power = spectra.real**2
         power += spectra.imag**2
         del spectra
-        lo, stop = first, first + power.shape[0]
+        lo = first
         while lo < stop:  # the batch's rows of table t, then of the next
             hi = min(ends[t], stop)
             block = power[lo - first : hi - first]

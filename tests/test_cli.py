@@ -117,14 +117,6 @@ class TestAnalyze:
         assert code == 2
         assert "exactly one" in err
 
-    @pytest.mark.parametrize("argv", [["analyze", "--alphabet", "ACGT "], ["verify", "--alphabet", "AC GT"]])
-    def test_alphabet_with_whitespace_is_rejected(self, run, argv):
-        # Regression: "ACGT " made a fifth symbol, ' ', that no record can hold
-        # (whitespace is stripped from every record): T = 5, ratio 1.2500.
-        code, out, err = run(argv + ["--rep", "helmert"], stdin_text="ACGTTGCAAC\n")
-        assert (code, out) == (2, "")
-        assert err == f"symspec: error: --alphabet {argv[2]!r} has whitespace, which is never a symbol\n"
-
     def test_missing_input_file(self, run):
         code, _, err = run(["analyze", "--input", "/nonexistent/f.fasta"])
         assert code == 2
@@ -198,12 +190,6 @@ class TestCompare:
         assert ratio["theoretical"] == pytest.approx(1.0)
         assert ratio["measured"] == pytest.approx(1.0, rel=1e-9)
 
-    def test_too_few_representations_rejected_before_input_is_read(self, run):
-        code, out, err = run(["compare", "--rep", "base"], stdin_bytes=b"\xff\xfeACGT")
-        assert code == 2
-        assert out == ""
-        assert err == "symspec: error: compare needs at least two --rep selections\n"
-
     def test_csv_fields(self, run):
         code, out, _ = run(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
@@ -242,12 +228,6 @@ class TestVerify:
         assert "vacuous (no nonzero base bins)" in out
         assert "result: PASS" in out
 
-    def test_csv_format_rejected_before_input_is_read(self, run):
-        code, out, err = run(["verify", "--format", "csv"], stdin_bytes=b"\xff\xfeACGT")
-        assert code == 2
-        assert out == ""
-        assert err == "symspec: error: verify supports --format text or json\n"
-
     def test_json_runs_are_identical(self, run):
         argv = ["verify", "--random", "4", "--seed", "7", "--format", "json"]
         code1, out1, _ = run(argv)
@@ -260,23 +240,6 @@ class TestVerify:
             run(["verify", "--random", "1", "--period", "0"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --period 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--seed", "3"], "--seed and --alphabet-size apply only with --random"),
-        (["--alphabet-size", "20"], "--seed and --alphabet-size apply only with --random"),
-        (["--random", "1", "--input", "-"], "--random makes its own sequences; it takes no --input or --alphabet"),
-        (["--random", "1", "--alphabet", "auto"], "--random makes its own sequences; it takes no --input or --alphabet"),
-    ])
-    def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, run, flags, message):
-        code, out, err = run(["verify", *flags], stdin_bytes=b"\xff\xfeACGT")
-        assert (code, out, err) == (2, "", f"symspec: error: {message}\n")
-
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_rejects_nonpositive_random_count(self, run, count):
-        code, out, err = run(["verify", "--random", count], stdin_text=">x\nACGT\n")
-        assert code == 2
-        assert out == ""
-        assert "positive count" in err
 
     def test_rejects_negative_seed_before_drawing(self, run, monkeypatch):
         monkeypatch.setattr(cli, "random_sequence", None)  # any draw would raise TypeError
@@ -313,14 +276,14 @@ class TestVerify:
         ("ACGX", "column symbol 'X' is missing from alphabet ACGT"),
         ("ACG", "has 3 columns but the alphabet ACGT has 4 symbols"),
     ], ids=["symbol", "size"])
-    def test_a_matrix_that_does_not_fit_is_refused_before_the_first_record(self, run, monkeypatch, tmp_path,
+    def test_a_matrix_that_does_not_fit_is_refused_before_the_first_record(self, run, kernel, tmp_path,
                                                                             order, message):
         rows = build_zcurve().rows if len(order) == 4 else build_helmert(3).rows
         path = tmp_path / "matrix.json"
         save_matrix(validate_row_orthogonal(rows, alphabet_order=tuple(order), name="m"), path)
-        monkeypatch.setattr(spectral, "check_record", None)  # any record checked would raise TypeError
         code, out, err = run(["verify", "--rep", f"file:{path}"], stdin_text=">a\nACGT\n>b\nGGCA\n")
         assert (code, out, err) == (2, "", f"symspec: error: matrix 'm' {message}\n")
+        assert kernel.tables == []
 
 
 class TestVerifyHoldsOneRecord:
@@ -427,20 +390,16 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("key", REFUSALS)
-def test_refused_before_input_is_read(run, monkeypatch, tmp_path, key):
+def test_refused_before_input_is_read(run, kernel, tmp_path, key):
     """Each refusal comes before the input is read, which would refuse these
     bytes as not UTF-8, and before any spectrum is computed; nothing is written."""
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("a spectrum was computed")
-
-    monkeypatch.setattr(spectral, "spectrum_base", no_spectrum)
-    monkeypatch.setattr(spectral, "spectrum_transformed", no_spectrum)
     (tmp_path / "a-file").touch()
     places = {"tmp": tmp_path, "file": tmp_path / "a-file"}
     argv, message = REFUSALS[key]
     code, out, err = run([arg.format(**places) for arg in argv], stdin_bytes=b"\xff\xfe")
     assert (code, out, err) == (2, "", f"symspec: error: {message.format(**places)}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+    assert kernel.tables == []
 
 
 _ONE_OF_EACH_COMMAND = {
@@ -510,77 +469,77 @@ class TestIndentedMarkers:
         assert (code, out, err) == run(argv, stdin_text=text.replace("  ", ""))
 
 
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, which some editors write, is
+    dropped where the input's bytes are decoded."""
+
+    @pytest.mark.parametrize("text", ["ACGTTGCAAC\n", ">x\nACGTTGCAAC\n"], ids=["headerless", "fasta"])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_a_leading_mark_is_dropped(self, run, tmp_path, command, text):
+        # Regression: headerless, the mark was a fifth symbol (T = 5); in FASTA, a marker error.
+        argv, marked, path = [command, "--rep", "helmert"], b"\xef\xbb\xbf" + text.encode(), tmp_path / "in.fa"
+        plain = run(argv, stdin_text=text)
+        assert plain[0] == 0, plain
+        assert run(argv, stdin_bytes=marked) == plain
+        path.write_text(text)
+        plain = run(argv + ["--input", str(path)])
+        path.write_bytes(marked)
+        assert run(argv + ["--input", str(path)]) == plain
+
+    @pytest.mark.parametrize("text, position", [("AC\ufeffGT\n", 3), ("\ufeff\ufeffACGT\n", 1)])
+    def test_any_other_mark_is_a_character(self, run, text, position):
+        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text=text)
+        assert (code, out) == (2, "")
+        assert err == f"symspec: error: -: character '\\ufeff' at position {position} is not in alphabet ACGT\n"
+
+
 class TestSpectraComputedOnce:
     """Each command computes the base spectrum once per sequence and one
     spectrum per transform, however many checks use them and however often
-    --rep names it."""
+    --rep names it: each table goes through the kernel once."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"base": 0, "transformed": 0}
-
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(spectral, "spectrum_base", counting("base", spectral.spectrum_base))
-        monkeypatch.setattr(
-            spectral, "spectrum_transformed", counting("transformed", spectral.spectrum_transformed)
-        )
-        return counts
-
-    def test_analyze(self, run, calls):
+    def test_analyze(self, run, kernel):
         reps = ["base", "zcurve", "tetrahedron", "zcurve", "base"]
         code, out, err = run(
             ["analyze", *(f"--rep={rep}" for rep in reps), "--format", "json"],
             stdin_text=">x\nACGTTGCAACGG\n",
         )
         assert code == 0, err
-        assert calls == {"base": 1, "transformed": 2}
+        assert kernel.tables == [[(4, 4)], [(3, 4)], [(3, 4)]]
         entries = json.loads(out)["representations"]
         assert [e["name"] for e in entries] == reps
         assert entries[3] == entries[1] and entries[4] == entries[0]
 
-    def test_compare(self, run, calls):
+    def test_compare(self, run, kernel):
         code, _, err = run(
             ["compare", "--rep", "base", "--rep", "helmert", "--rep", "helmert"],
             stdin_text=">x\nACDEFGHIKLMNPQ\n",
         )
         assert code == 0, err
-        assert calls == {"base": 1, "transformed": 1}
+        assert kernel.tables == [[(14, 14)], [(13, 14)]]
 
-    def test_verify_two_records(self, run, calls, monkeypatch):
+    def test_verify_two_records(self, run, kernel):
         """verify makes no report: each record's checks take the base's and
-        each transform's rows through one check_record pass."""
-        passes, rows = [], []
-        check_record, rfft = spectral.check_record, np.fft.rfft
-        monkeypatch.setattr(spectral, "check_record", lambda ind, transforms: passes.append(len(transforms))
-                            or check_record(ind, transforms))
-        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: rows.append(len(a)) or rfft(a, *args, **kwargs))
+        each transform's rows through one pass of the kernel."""
         code, _, err = run(
             ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert", "--rep", "helmert"],
             stdin_text=">a\nACGTTGCA\n>b\nGGCATTACA\n",
         )
         assert code == 0, err
-        assert passes == [3, 3]  # the base and three transforms per record, helmert once
-        assert rows == [4 + 3 * 3] * 2
-        assert calls == {"base": 0, "transformed": 0}
+        assert kernel.tables == [[(4, 4), (3, 4), (3, 4), (3, 4)]] * 2  # helmert once
 
-    @pytest.mark.parametrize(
-        "rep, expected", [("base", {"base": 1, "transformed": 0}), ("zcurve", {"base": 0, "transformed": 1})]
-    )
+    @pytest.mark.parametrize("rep, expected", [("base", [[(4, 4)]]), ("zcurve", [[(3, 4)]])])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_spectrum_computes_only_its_own(self, run, calls, rep, expected, fmt):
+    def test_spectrum_computes_only_its_own(self, run, kernel, rep, expected, fmt):
         code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=">x\nACGTTGCAACGG\n")
         assert code == 0, err
-        assert calls == expected
+        assert kernel.tables == expected
 
 
 class TestRatioChecksKeepTheirHalf:
     """The CLI reads only the scalar fields of each RatioCheck, so it never
-    builds a full-length ``ratios``."""
+    builds a full-length ``ratios``. Every command's ratio checks are made
+    by ``spectral._ratio_check``."""
 
     @pytest.mark.parametrize(
         "argv, stdin_text",
@@ -592,22 +551,8 @@ class TestRatioChecksKeepTheirHalf:
         ids=["analyze", "compare", "verify"],
     )
     def test_ratios_are_never_built(self, run, monkeypatch, argv, stdin_text):
-        checks = []
-
-        def keeping(*args, **kwargs):
-            checks.append(check := original(*args, **kwargs))
-            return check
-
-        def keeping_record(ind, transforms):
-            checks_ = record(ind, transforms)
-            yield next(checks_)  # the base total
-            for total, check in checks_:
-                checks.append(check)
-                yield total, check
-
-        original, record = spectral.snr_ratio_check, spectral.check_record
-        monkeypatch.setattr(spectral, "snr_ratio_check", keeping)
-        monkeypatch.setattr(spectral, "check_record", keeping_record)  # verify's path
+        checks, ratio_check = [], spectral._ratio_check
+        monkeypatch.setattr(spectral, "_ratio_check", lambda *args: checks.append(ratio_check(*args)) or checks[-1])
         code, _, err = run(argv, stdin_text=stdin_text)
         assert code == 0, err
         assert checks
@@ -690,18 +635,14 @@ class TestTotalSpectrumOverflow:
 
     @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
     @pytest.mark.parametrize("key", OVERFLOW_ARGV)
-    def test_exits_2_with_nothing_written(self, run, monkeypatch, tmp_path, key, case):
+    def test_exits_2_with_nothing_written(self, run, kernel, tmp_path, key, case):
         text, m, rows = case
         rep = _overflowing_matrix(tmp_path / "huge.json", rows)
-        calls = []
-        transformed, record = spectral.spectrum_transformed, spectral.check_record
-        monkeypatch.setattr(spectral, "spectrum_transformed", lambda sig: calls.append(sig) or transformed(sig))
-        monkeypatch.setattr(spectral, "check_record",  # verify's path
-                            lambda ind, transforms: calls.append(transforms) or record(ind, transforms))
         code, out, err = run(OVERFLOW_ARGV[key] + ["--rep", rep], stdin_text=text)
         assert (code, out) == (2, "")
         assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
-        assert len(calls) == 1
+        shapes = [shape for call in kernel.tables for shape in call]
+        assert shapes == ([] if key.startswith("spectrum") else [(4, 4)]) + [(3, 4)]
 
     @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
     def test_entry_process_prints_one_line(self, tmp_path, case):
@@ -931,32 +872,19 @@ class TestMallocTuning:
         assert seen == [[("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]]
 
     @pytest.mark.parametrize("key", list(COMMAND_ARGV))
-    def test_one_trim_after_the_spectra_before_any_formatting(self, libc, monkeypatch, run_entry, key):
-        def logged(event, fn):
-            def wrapped(*args, **kwargs):
-                libc.calls.append(event)
-                return fn(*args, **kwargs)
-            return wrapped
+    def test_one_trim_after_the_spectra_before_any_formatting(self, libc, kernel, monkeypatch, run_entry, key):
+        def formatting(*args, **kwargs):
+            libc.calls.append("format")
+            return float_strings(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "spectrum_base", logged("spectrum", spectral.spectrum_base))
-        monkeypatch.setattr(spectral, "spectrum_transformed", logged("spectrum", spectral.spectrum_transformed))
-
-        def logged_checks(ind, transforms):  # verify's path: each check as it is made
-            for check in record(ind, transforms):
-                libc.calls.append("spectrum")
-                yield check
-
-        record = spectral.check_record
-        monkeypatch.setattr(spectral, "check_record", logged_checks)
-        monkeypatch.setattr(cli, "_float_strings", logged("format", cli._float_strings))
+        float_strings, trim, halves_at_trim = cli._float_strings, libc.malloc_trim, []
+        monkeypatch.setattr(cli, "_float_strings", formatting)
+        libc.malloc_trim = lambda pad: halves_at_trim.append(len(kernel.halves)) or trim(pad)
         code, _, err = run_entry(COMMAND_ARGV[key], DNA_TEXT)
         assert code == 0, err
         assert [call[0] for call in libc.calls[:2]] == ["mallopt", "mallopt"]
-        events = libc.calls[2:]
-        assert events.count(("malloc_trim", 0)) == 1
-        trim = events.index(("malloc_trim", 0))
-        assert "spectrum" in events[:trim] and "spectrum" not in events[trim:]
-        assert "format" not in events[:trim]
+        assert kernel.halves and halves_at_trim == [len(kernel.halves)]  # one trim, after every spectrum
+        assert "format" not in libc.calls[: libc.calls.index(("malloc_trim", 0))]
 
     @pytest.mark.parametrize("fault", ["no mallopt", "no libc", "mallopt refuses"])
     @pytest.mark.parametrize("argv", [COMMAND_ARGV["analyze-csv"], ["compare", "--rep", "base"]])
@@ -1007,32 +935,18 @@ class TestMallocTuning:
 class TestReportsKeptForProfilesOnly:
     """analyze keeps each report only to render per-bin profiles (--format
     csv), and spectrum its one report; otherwise a report is dropped once
-    its entry is made, and the base report lives until the last ratio check
-    of its record."""
+    its entry is made, and the base's half spectrum lives until the last
+    ratio check of its record. A report keeps its half spectrum alive, so
+    the kernel's halves show the reports of analyze, compare and spectrum
+    and the halves that verify's checks take."""
 
-    @staticmethod
-    def _track(monkeypatch):
-        """Weak references to each report made, and which of them are alive
-        when each spectrum starts and when the output is written."""
-        reports, alive = [], []
-
-        def tracking(fn):
-            def wrapped(*args, **kwargs):
-                alive.append([ref() is not None for ref in reports])
-                report = fn(*args, **kwargs)
-                reports.append(weakref.ref(report))
-                return report
-            return wrapped
-
-        def write(args, pieces):
-            alive.append([ref() is not None for ref in reports])
-            return original_write(args, pieces)
-
-        original_write = cli._write
-        monkeypatch.setattr(spectral, "spectrum_base", tracking(spectral.spectrum_base))
-        monkeypatch.setattr(spectral, "spectrum_transformed", tracking(spectral.spectrum_transformed))
-        monkeypatch.setattr(cli, "_write", write)
-        return alive
+    @pytest.fixture
+    def alive(self, kernel, monkeypatch):
+        """Which half spectra are alive as each is made, then as the output is written."""
+        write = cli._write
+        monkeypatch.setattr(cli, "_write",
+                            lambda args, pieces: kernel.alive.append(kernel.live()) or write(args, pieces))
+        return kernel.alive
 
     @pytest.mark.parametrize(
         "argv, kept",
@@ -1042,46 +956,23 @@ class TestReportsKeptForProfilesOnly:
             (["analyze", "--format", "csv"], True),
             (["compare", "--format", "json"], False),
             (["compare", "--format", "csv"], False),
+            (["verify"], False),
+            (["verify", "--format", "json"], False),
         ],
-        ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv"],
+        ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv",
+             "verify-text", "verify-json"],
     )
-    def test_reports_alive_when_each_spectrum_starts(self, run, monkeypatch, argv, kept):
-        alive = self._track(monkeypatch)
-        reps = ["--rep=base", "--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
-        code, _, err = run(argv + reps, stdin_text=DNA_TEXT)
+    def test_reports_alive_when_each_spectrum_starts(self, run, alive, argv, kept):
+        records = 2 if argv[0] == "verify" else 1  # verify checks two records, each against its implicit base
+        reps = ["--rep=base"] * (records == 1) + ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
+        code, _, err = run(argv + reps, stdin_text=DNA_TEXT + ">y\nGGCATTACA\n" * (records - 1))
         assert code == 0, err
-        assert alive == [[], [True], [True, kept], [True, kept, kept], [kept] * 4]
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_verify_drops_each_transformed_report(self, run, monkeypatch, fmt):
-        """verify makes no report. Of the half spectra that each record's
-        check_record takes from the kernel, the base's lives until the
-        record's last ratio check, and each transform's is dropped before the
-        next is handed over."""
-        halves, alive, powers, original_write = [], [], spectral._powers, cli._write
-
-        def tracked(half):
-            alive.append([ref() is not None for ref in halves])
-            halves.append(weakref.ref(half))
-            return half
-
-        def write(args, pieces):
-            alive.append([ref() is not None for ref in halves])
-            return original_write(args, pieces)
-
-        monkeypatch.setattr(spectral, "_powers", lambda tables, codes: map(tracked, powers(tables, codes)))
-        monkeypatch.setattr(cli, "_write", write)
-        reps = ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
-        code, _, err = run(["verify", "--format", fmt, *reps], stdin_text=DNA_TEXT + ">y\nGGCATTACA\n")
-        assert code == 0, err
-        first = [[], [True], [True, False], [True, False, False]]
-        second = [[False] * 4 + row for row in first]
-        assert alive == first + second + [[False] * 8]
+        record = [[], [True], [True, kept], [True, kept, kept]]  # the base, then three transforms
+        assert alive == [[False] * 4 * r + row for r in range(records) for row in record] + [[kept] * 4 * records]
 
     @pytest.mark.parametrize("rep", ["base", "zcurve"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_spectrum_keeps_its_one_report(self, run, monkeypatch, rep, fmt):
-        alive = self._track(monkeypatch)
+    def test_spectrum_keeps_its_one_report(self, run, alive, rep, fmt):
         code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=DNA_TEXT)
         assert code == 0, err
         assert alive == [[], [True]]
@@ -1126,6 +1017,25 @@ class TestAnalyzeBytesPerSymbol:
         assert len(held) == len(reps)
         assert max(held) <= 5 * m + 128 * 1024, [h / m for h in held]
         assert peak <= 28 * m, peak / m
+
+
+def test_base_spectrum_of_a_large_alphabet_holds_no_dense_identity(tmp_path):
+    """analyze (its base spectrum) at m = 6000 over 3000 inferred symbols
+    gathers each batch of indicator rows from a view of 2T - 1 floats: a
+    dense T x T identity alone would take 68.7 MiB."""
+    symbols = [chr(0x4E00 + i) for i in range(3000)]
+    path = tmp_path / "cjk.fa"
+    path.write_text(">x\n" + "".join(np.random.default_rng(3000).permutation(symbols * 2)) + "\n", encoding="utf-8")
+    argv = ["analyze", "--format", "json", "--output", str(tmp_path / "out.json")]
+    assert main(argv + ["--input", str(_fasta_file(tmp_path / "small.fa", b"ACGT", 100))]) == 0  # imports
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 24 * 2**20, peak / 2**20
 
 
 # Starts the command in its argv and prints the child's ru_maxrss (KiB) and

@@ -73,6 +73,7 @@ class TestIndicators:
         ind = IndicatorMatrix(DNA, [0, 1, 1, 3])
         np.testing.assert_array_equal(ind.rows, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
         np.testing.assert_array_equal(ind.table, np.eye(4))
+        assert not ind.table.flags.writeable and ind.table is IndicatorMatrix(DNA, [2]).table  # one per T
         assert ind.m == 4 and list(ind.counts) == [1, 2, 0, 1]
 
     @pytest.mark.parametrize("codes", [[], [[0, 1]], [0, 4], [-1, 0]])

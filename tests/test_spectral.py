@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -216,25 +215,17 @@ class TestCheckRecord:
         checks = list(check_record(ind, [(alphabet_table(build_zcurve(), DNA), 2.0)]))
         assert checks[1][1].vacuous and checks[1][1].passed()
 
-    def test_keeps_only_the_base_half(self, monkeypatch):
+    def test_keeps_only_the_base_half(self, monkeypatch, kernel):
         """Each transform's half is dropped before the next is made; the
         base's is dropped once the last ratio is done."""
-        halves, alive, powers = [], [], spectral._powers
-
-        def tracked(half):
-            alive.append([ref() is not None for ref in halves])
-            halves.append(weakref.ref(half))
-            return half
-
         monkeypatch.setattr(spectral, "_BLOCK_BINS", 100)  # one row per batch
-        monkeypatch.setattr(spectral, "_powers", lambda tables, codes: map(tracked, powers(tables, codes)))
         ind = build_indicators(random_sequence(DNA, 100, np.random.default_rng(3)))
         reps = [build_zcurve(), build_tetrahedron(), build_helmert(4)]
         checks = check_record(ind, [(alphabet_table(rep, DNA), rep.d) for rep in reps])
         for check in checks:
             del check
-        assert alive == [[], [True], [True, False], [True, False, False]]
-        assert [ref() is not None for ref in halves] == [False] * 4
+        assert kernel.alive == [[], [True], [True, False], [True, False, False]]
+        assert kernel.live() == [False] * 4
 
     def test_overflow_fails_the_total_without_a_warning(self):
         # At 1e153, d^2 (T-1)/T m^2 overflows at m = 15, and so does the k = 0 bin's power.
