@@ -117,6 +117,14 @@ class TestAnalyze:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("argv", [["analyze", "--alphabet", "ACGT "], ["verify", "--alphabet", "AC GT"]])
+    def test_alphabet_with_whitespace_is_rejected(self, run, argv):
+        # Regression: "ACGT " made a fifth symbol, ' ', that no record can hold
+        # (whitespace is stripped from every record): T = 5, ratio 1.2500.
+        code, out, err = run(argv + ["--rep", "helmert"], stdin_text="ACGTTGCAAC\n")
+        assert (code, out) == (2, "")
+        assert err == f"symspec: error: --alphabet {argv[2]!r} has whitespace, which is never a symbol\n"
+
     def test_missing_input_file(self, run):
         code, _, err = run(["analyze", "--input", "/nonexistent/f.fasta"])
         assert code == 2
@@ -190,6 +198,12 @@ class TestCompare:
         assert ratio["theoretical"] == pytest.approx(1.0)
         assert ratio["measured"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_too_few_representations_rejected_before_input_is_read(self, run):
+        code, out, err = run(["compare", "--rep", "base"], stdin_bytes=b"\xff\xfeACGT")
+        assert code == 2
+        assert out == ""
+        assert err == "symspec: error: compare needs at least two --rep selections\n"
+
     def test_csv_fields(self, run):
         code, out, _ = run(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
@@ -228,6 +242,12 @@ class TestVerify:
         assert "vacuous (no nonzero base bins)" in out
         assert "result: PASS" in out
 
+    def test_csv_format_rejected_before_input_is_read(self, run):
+        code, out, err = run(["verify", "--format", "csv"], stdin_bytes=b"\xff\xfeACGT")
+        assert code == 2
+        assert out == ""
+        assert err == "symspec: error: verify supports --format text or json\n"
+
     def test_json_runs_are_identical(self, run):
         argv = ["verify", "--random", "4", "--seed", "7", "--format", "json"]
         code1, out1, _ = run(argv)
@@ -240,6 +260,23 @@ class TestVerify:
             run(["verify", "--random", "1", "--period", "0"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --period 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "3"], "--seed and --alphabet-size apply only with --random"),
+        (["--alphabet-size", "20"], "--seed and --alphabet-size apply only with --random"),
+        (["--random", "1", "--input", "-"], "--random makes its own sequences; it takes no --input or --alphabet"),
+        (["--random", "1", "--alphabet", "auto"], "--random makes its own sequences; it takes no --input or --alphabet"),
+    ])
+    def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, run, flags, message):
+        code, out, err = run(["verify", *flags], stdin_bytes=b"\xff\xfeACGT")
+        assert (code, out, err) == (2, "", f"symspec: error: {message}\n")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_nonpositive_random_count(self, run, count):
+        code, out, err = run(["verify", "--random", count], stdin_text=">x\nACGT\n")
+        assert code == 2
+        assert out == ""
+        assert "positive count" in err
 
     def test_rejects_negative_seed_before_drawing(self, run, monkeypatch):
         monkeypatch.setattr(cli, "random_sequence", None)  # any draw would raise TypeError
