@@ -285,21 +285,21 @@ def _check(args) -> None:
 def _read_input(args) -> tuple[str, str]:
     """Input text and its label; bytes that are not UTF-8 are an error, not data.
 
-    One leading byte-order mark, which some editors write, is dropped; a
-    U+FEFF anywhere else is an ordinary character.
+    One leading byte-order mark, which some editors write, is dropped from
+    the text, however it was read; a U+FEFF anywhere else is an ordinary
+    character.
     """
     if args.input in (None, "-"):
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:  # a text stream put in place of stdin by an embedding caller
-            return sys.stdin.read(), "-"
-        data, label = buffer.read(), "-"
+        # A text stream put in place of stdin by an embedding caller has no buffer.
+        data, label = getattr(sys.stdin, "buffer", sys.stdin).read(), "-"
     else:
         path = Path(args.input)
         data, label = path.read_bytes(), str(path)
     try:
-        return data.decode("utf-8-sig"), label
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SequenceError(f"{label}: input is not UTF-8 text ({exc})") from None
+    return text.removeprefix("\ufeff"), label
 
 
 def _load_many(args) -> tuple[list[SymbolicSequence], str]:
@@ -335,19 +335,15 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
     spectrum is computed once, first, when a check or the base itself needs
     it. Yields (name, report, total check, ratio fields), the ratio fields
     None without *checks*. A representation whose total check finds the
-    expected or the measured total not a finite float is an error, raised
-    without a numpy warning. Nothing here keeps a yielded report once the
-    next is asked for, so callers that drop theirs hold only the base while
-    a spectrum is computed.
+    expected or the measured total not a finite float is an error
+    (``spectral`` raises no numpy warning for it). Nothing here keeps a
+    yielded report once the next is asked for, so callers that drop theirs
+    hold only the base while a spectrum is computed.
     """
     ind = build_indicators(seq)
     base = spectral.spectrum_base(ind) if checks or None in reps.values() else None
     for name, rep in reps.items():
-        if rep is None:
-            report = base
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # judged by the total check below
-                report = spectral.spectrum_transformed(apply_representation(ind, rep))
+        report = base if rep is None else spectral.spectrum_transformed(apply_representation(ind, rep))
         total = _finite(name, seq.m, spectral.verify_total_spectrum(ind, report=report))
         ratio = None
         if checks:
@@ -667,31 +663,35 @@ def _json_float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _verify_item(item: dict) -> str:
-    """*item*, a verify record with at least one SNR-ratio entry, from the
-    fixed layout: the bytes of ``json.dumps(item, indent=2, sort_keys=True)``
-    at depth 2, without its pure-Python encoder."""
-    tot = item["total_spectrum"]
-    ratios = ",\n        ".join(
+def _verify_item(record: str, m: int, tot: spectral.TotalSpectrumCheck, ratios) -> str:
+    """A verify record, from the fixed layout, without json.dumps' pure-Python encoder.
+
+    *tot* is the record's base total check, and *ratios* holds at least
+    one (name, ratio fields) row. The bytes are those of ``json.dumps(item,
+    indent=2, sort_keys=True)`` at depth 2 for the item {"id": record,
+    "m": m, "total_spectrum": {**vars(tot), "pass": tot.passed()},
+    "snr_ratio": [{"representation": name, **fields}, ...]}.
+    """
+    rows = ",\n        ".join(
         _VERIFY_RATIO % (
             r["checked_bins"],
             _json_float(r["expected"]),
             "null" if r["max_dev"] is None else _json_float(r["max_dev"]),
             _JSON_BOOL[r["pass"]],
-            json.dumps(r["representation"]),
+            json.dumps(name),
             r["skipped_bins"],
             _JSON_BOOL[r["vacuous"]],
         )
-        for r in item["snr_ratio"]
+        for name, r in ratios
     )
     return _VERIFY_ITEM % (
-        json.dumps(item["id"]),
-        item["m"],
-        ratios,
-        _json_float(tot["expected"]),
-        _json_float(tot["measured"]),
-        _JSON_BOOL[tot["pass"]],
-        _json_float(tot["relative_error"]),
+        json.dumps(record),
+        m,
+        rows,
+        _json_float(tot.expected),
+        _json_float(tot.measured),
+        _JSON_BOOL[tot.passed()],
+        _json_float(tot.relative_error),
     )
 
 
@@ -732,18 +732,7 @@ def cmd_verify(args) -> int:
         n_pass += tot.passed() and all(_passed(*result) for result in results.values())
         record = seq.id or f"record-{i:03d}"
         if args.format == "json":
-            item = {
-                "id": record,
-                "m": seq.m,
-                "total_spectrum": {
-                    "expected": tot.expected,
-                    "measured": tot.measured,
-                    "relative_error": tot.relative_error,
-                    "pass": tot.passed(),
-                },
-                "snr_ratio": [{"representation": name, **results[name][1]} for name in rep_names],
-            }
-            rendered.append(_verify_item(item))
+            rendered.append(_verify_item(record, seq.m, tot, [(name, results[name][1]) for name in rep_names]))
         else:
             parts = [f"total-spectrum {_passfail(tot.passed())} (rel err {tot.relative_error:.3g})"]
             for name in rep_names:
@@ -818,12 +807,25 @@ def main(argv=None) -> int:
     try:
         _check(args)
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # the reader went away: not an error of the command
     except (ValueError, OSError) as exc:
         print(f"symspec: error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    """``python -m symspec`` and the ``symspec`` script: main() in a tuned process."""
+    """``python -m symspec`` and the ``symspec`` script: main() in a tuned process.
+
+    When the reader of the output goes away, it ends quietly with status 1,
+    as Python's recipe for SIGPIPE does: stdout is pointed at devnull, so
+    the flush at exit raises nothing.
+    """
     _tune_malloc()
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -234,17 +234,19 @@ def validate_row_orthogonal(
         if len(set(alphabet_order)) != len(alphabet_order):
             raise MatrixError("alphabet_order symbols are not distinct")
 
+    # One T x T array at a time besides M: the row Gram, then the column Gram.
     with np.errstate(over="ignore"):  # an overflowing Gram is judged just below
         gram = M @ M.T
-    sq_norms, fin = np.diag(gram), np.finfo(np.float64)
+    sq_norms, fin = gram.diagonal().copy(), np.finfo(np.float64)
     if np.any(M.any(axis=1) & ~((sq_norms >= fin.tiny) & (sq_norms <= fin.max))):
         raise MatrixError(f"matrix scale out of range: its largest entry is {np.abs(M).max():.3g}, and each "
                           f"squared row norm must lie in float64's normal range [{fin.tiny:.3g}, {fin.max:.3g}]")
     norms = np.sqrt(sq_norms)
     d = float(norms.mean())
-    off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > ROW_DOT_ATOL * d**2:
+    np.fill_diagonal(gram, 0.0)
+    if np.abs(gram, out=gram).max() > ROW_DOT_ATOL * d**2:
         raise MatrixError("rows not orthogonal")
+    del gram
 
     if np.min(norms) <= 0.0:
         raise MatrixError("rows must be nonzero")
@@ -257,10 +259,11 @@ def validate_row_orthogonal(
 
     # Column Gram of rows/d must equal I - J/T: its diagonal is the
     # per-column identity (T-1)/T, its off-diagonal the pair identity -1/T.
-    normalized = M / d
-    T = n_cols
-    col_gram = normalized.T @ normalized
-    if np.max(np.abs(col_gram - (np.eye(T) - 1.0 / T))) > COLUMN_IDENTITY_ATOL:
+    col_gram = M.T @ M
+    col_gram /= d**2
+    col_gram += 1.0 / n_cols
+    col_gram.flat[:: n_cols + 1] -= 1.0
+    if np.abs(col_gram, out=col_gram).max() > COLUMN_IDENTITY_ATOL:
         raise MatrixError("column identity violated")
 
     kind = "orthonormal" if abs(d - 1.0) <= ROW_NORM_RTOL else "row-orthogonal"
@@ -312,6 +315,12 @@ def build_helmert(size: int, symbols: Sequence[str] | None = None) -> Representa
     return validate_row_orthogonal(rows, alphabet_order=symbols, name="helmert")
 
 
+def _check_table(table: np.ndarray, size: int) -> None:
+    """Refuse *table* unless it is a (T-1) x T transform table for T = *size* >= 2 symbols."""
+    if size < 2 or np.shape(table) != (size - 1, size):
+        raise MatrixError(f"transform table must be (T-1) x T with T >= 2; got shape {np.shape(table)} for T = {size}")
+
+
 @dataclass(frozen=True, repr=False)
 class TransformedSignal:
     """T-1 real channels of length m produced by apply_representation.
@@ -330,8 +339,7 @@ class TransformedSignal:
 
     def __post_init__(self):
         table = np.array(self.table, dtype=np.float64) + 0.0  # -0.0 -> 0.0
-        if table.ndim != 2 or table.shape[1] != table.shape[0] + 1 or table.shape[0] < 1:
-            raise MatrixError("transform table must be (T-1) x T with T >= 2")
+        _check_table(table, table.shape[-1] if table.ndim else 0)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "codes", _checked_codes(self.codes, table.shape[1]))

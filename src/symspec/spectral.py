@@ -34,6 +34,10 @@ P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2 only: its
 ``power`` and ``snr`` are mirrored from them on first access, and the
 checks and lookups here read the half. A ``RatioCheck`` likewise stores
 its ratios at k = 0 .. m//2 and mirrors ``ratios`` on access.
+A power or total that overflows float64 is judged by its total check,
+at every entry point: the kernel's sums, the total and the ratios are
+computed with numpy's warnings for it silenced, so the check holds a
+total that is not finite, and fails.
 ``dft_naive`` is the O(m^2) direct-summation reference that reports' power
 and the public complex-input ``dft_fast`` are both tested against, bin for
 bin.
@@ -47,7 +51,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .representations import IndicatorMatrix, RepresentationMatrix, TransformedSignal, apply_representation
+from .representations import IndicatorMatrix, RepresentationMatrix, TransformedSignal, _check_table, apply_representation
 from .sequences import _read_only
 
 __all__ = [
@@ -207,19 +211,20 @@ def _powers(tables, codes: np.ndarray):
         rows = [tables[u][max(first - starts[u], 0) : stop - starts[u]]
                 for u in range(t, len(tables)) if starts[u] < stop]
         spectra = np.fft.rfft(np.take(rows[0] if len(rows) == 1 else np.concatenate(rows), codes, axis=1), axis=1)
-        power = spectra.real**2
-        power += spectra.imag**2
-        del spectra
-        lo = first
-        while lo < stop:  # the batch's rows of table t, then of the next
-            hi = min(ends[t], stop)
-            block = power[lo - first : hi - first]
-            block[0] += half  # so the sum below continues the table's running sum
-            block.sum(axis=0, out=half)
-            if hi == ends[t]:  # table t is done; the next starts in this batch or the next one
-                done.append(half)
-                t, half = t + 1, np.zeros(m // 2 + 1) if hi < stop else None
-            lo = hi
+        with np.errstate(over="ignore"):  # judged by the total check; never across a yield, which would leak it
+            power = spectra.real**2
+            power += spectra.imag**2
+            del spectra
+            lo = first
+            while lo < stop:  # the batch's rows of table t, then of the next
+                hi = min(ends[t], stop)
+                block = power[lo - first : hi - first]
+                block[0] += half  # so the sum below continues the table's running sum
+                block.sum(axis=0, out=half)
+                if hi == ends[t]:  # table t is done; the next starts in this batch or the next one
+                    done.append(half)
+                    t, half = t + 1, np.zeros(m // 2 + 1) if hi < stop else None
+                lo = hi
         del power, block  # before the finished tables are handed over
         while done:
             yield done.pop(0)
@@ -227,7 +232,8 @@ def _powers(tables, codes: np.ndarray):
 
 def _total(half: np.ndarray, m: int) -> float:
     """The total power, summed over all m bins: a weighted sum of the half changes the last bits."""
-    return float(np.sum(_mirror(half, m)))
+    with np.errstate(over="ignore"):  # an overflowing total is judged by its total check
+        return float(np.sum(_mirror(half, m)))
 
 
 def _report(name: str, size: int, d: float | None, table: np.ndarray, codes: np.ndarray) -> SpectrumReport:
@@ -374,7 +380,8 @@ def _ratio_check(T: int, m: int, base_half, base_noise: float, half, noise: floa
     mask = base_snr > BASE_SNR_FLOOR
     mask[0] = False  # k = 0 has no SNR; bin k < m/2 is counted for m - k too
     ratios = np.full(mask.size, np.nan)
-    ratios[mask] = (half[mask] / noise) / base_snr[mask]
+    with np.errstate(invalid="ignore"):  # inf / inf where a power overflowed: judged by the total check
+        ratios[mask] = (half[mask] / noise) / base_snr[mask]
     checked = 2 * int(np.count_nonzero(mask)) - int(m % 2 == 0 and mask[-1])
     max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
     ratios.setflags(write=False)  # kept by the result as it is
@@ -400,21 +407,20 @@ def check_record(ind: IndicatorMatrix, transforms):
     All the record's tables go through one ``_powers`` pass, so while its
     rows fit one batch that is one ``np.take`` and one ``rfft``. Only the
     base half power is kept, until the last ratio; each transform's half is
-    dropped once its checks are made. A transform whose power or total
-    overflows float64 raises no numpy warning: its total check holds a
-    total that is not finite, and fails.
+    dropped once its checks are made. A table that is not (T-1) x T for
+    the record's T is refused with ``MatrixError`` before any FFT.
     """
     T, m = ind.alphabet.size, ind.m
+    for table, _ in transforms:
+        _check_table(table, T)
     halves = _powers([ind.table, *(table for table, _ in transforms)], ind.codes)
-    with np.errstate(over="ignore", invalid="ignore"):  # the transforms' rows may be in this batch
-        base = next(halves)
+    base = next(halves)
     base_total = _total(base, m)
     yield _total_check(m, T, None, base_total)
     for i, (_, d) in enumerate(transforms, 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged by the total check
-            half = next(halves)
-            total = _total(half, m)
-            ratio = _ratio_check(T, m, base, base_total / m, half, total / m)
+        half = next(halves)
+        total = _total(half, m)
+        ratio = _ratio_check(T, m, base, base_total / m, half, total / m)
         del half  # not held while the next table is computed
         if i == len(transforms):
             del base  # the last ratio is done

@@ -529,6 +529,14 @@ class TestByteOrderMark:
         assert (code, out) == (2, "")
         assert err == f"symspec: error: -: character '\\ufeff' at position {position} is not in alphabet ACGT\n"
 
+    def test_a_text_stream_drops_it_too(self, run, monkeypatch, capsys):
+        # Regression: a text stream with no .buffer kept the mark, a character at position 1 (exit 2).
+        argv = ["analyze", "--alphabet", "ACGT"]
+        plain = run(argv, stdin_text="ACGTTGCA\n")
+        assert plain[0] == 0, plain
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffACGTTGCA\n"))
+        assert (main(argv), *capsys.readouterr()) == plain
+
 
 class TestSpectraComputedOnce:
     """Each command computes the base spectrum once per sequence and one
@@ -698,6 +706,18 @@ class TestTotalSpectrumOverflow:
         assert not out_path.exists()
 
 
+def test_entry_ends_quietly_when_the_reader_goes_away(tmp_path):
+    """Regression: ``spectrum | head -1`` printed "symspec: error: [Errno 32]
+    Broken pipe" after the first line and exited 2."""
+    path = tmp_path / "x.fa"
+    path.write_text(">x\n" + "ACGTTGCA" * 2500 + "\n")  # m = 20 000: some 900 KB of CSV, far beyond a pipe's buffer
+    with subprocess.Popen([sys.executable, "-X", "dev", "-m", "symspec", "spectrum", "--input", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        assert proc.stdout.readline() == b"k,frequency,power,snr\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+
+
 @pytest.mark.parametrize("scale", [1e154, 1e-160])
 def test_matrix_out_of_scale_prints_one_line(tmp_path, scale):
     """Regression: at 1e154 three numpy warnings came before the error, and
@@ -748,25 +768,28 @@ _TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;') | st.
 @given(
     record=_TEXT,
     m=st.integers(1, 10**9),
-    total=st.fixed_dictionaries({"expected": _FLOATS, "measured": _FLOATS, "relative_error": _FLOATS,
-                                 "pass": st.booleans()}),
-    ratios=st.lists(st.fixed_dictionaries({
-        "representation": _TEXT,
+    total=st.builds(spectral.TotalSpectrumCheck, expected=_FLOATS, measured=_FLOATS, relative_error=_FLOATS),
+    ratios=st.lists(st.tuples(_TEXT, st.fixed_dictionaries({
         "expected": _FLOATS,
         "max_dev": st.none() | _FLOATS,
         "checked_bins": st.integers(0, 10**9),
         "skipped_bins": st.integers(0, 10**9),
         "vacuous": st.booleans(),
         "pass": st.booleans(),
-    }), min_size=1, max_size=4),
+    })), min_size=1, max_size=4),
 )
 def test_verify_item_layout_is_json_dumps(record, m, total, ratios):
     """verify's fixed layout writes each record as json.dumps(indent=2,
     sort_keys=True) writes it at depth 2: NaN, infinities, -0.0, subnormal
     and huge floats, a null max_dev, and ids with quotes, backslashes,
     control characters and non-ASCII text (a FASTA header may hold any)."""
-    item = {"id": record, "m": m, "total_spectrum": total, "snr_ratio": ratios}
-    assert cli._verify_item(item) == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+    item = {
+        "id": record,
+        "m": m,
+        "total_spectrum": {**vars(total), "pass": total.passed()},
+        "snr_ratio": [{"representation": name, **fields} for name, fields in ratios],
+    }
+    assert cli._verify_item(record, m, total, ratios) == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 class TestVerifyOnePassPerRecord:

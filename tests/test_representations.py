@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestValidateRowOrthogonal:
         rows[1] = 0.0
         with pytest.raises(MatrixError, match="^rows must be nonzero$"):
             validate_row_orthogonal(rows)
+
+    def test_holds_about_three_square_arrays_at_once(self):
+        # Regression: the builder's rows, their copy, the row Gram, its off-diagonal
+        # part, rows/d, the column Gram and a dense identity were alive together: 8.0 T^2 floats.
+        T = 1000
+        tracemalloc.start()
+        try:
+            build_helmert(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * T**2
 
 
 class TestBuilders:

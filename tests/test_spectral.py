@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from symspec import (
     DFT_MATCH_TOL,
     DNA,
     PROTEIN,
+    MatrixError,
     SymbolicSequence,
     alphabet_table,
     apply_representation,
@@ -233,6 +236,14 @@ class TestCheckRecord:
         _, (total, _) = check_record(ind, [(alphabet_table(build_zcurve(), DNA) * 1e153, 2e153)])
         assert not (math.isfinite(total.expected) and math.isfinite(total.measured))
         assert not total.passed()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2), (2, 3)])
+    def test_a_malformed_table_is_refused_before_any_fft(self, kernel, shape):
+        # Regression: (4, 4) was accepted and failed silently; (3, 2) raised numpy's concatenation error.
+        ind = build_indicators(dna("ACGTTGCA"))
+        with pytest.raises(MatrixError, match=re.escape(f"(T-1) x T with T >= 2; got shape {shape} for T = 4")):
+            next(check_record(ind, [(alphabet_table(build_zcurve(), DNA), 2.0), (np.ones(shape), 1.0)]))
+        assert kernel.tables == []
 
 
 class TestLargeLengthOracle:
@@ -592,6 +603,26 @@ class TestTotalSpectrum:
             report = spectrum_transformed(apply_representation(other, build_helmert(other.alphabet.size)))
             with pytest.raises(ValueError, match="transformed report"):
                 verify_total_spectrum(ind, report=report)
+
+    # At 1e153 and m = 15 the total overflows; at 6.5e153 and m = 29 so does
+    # the power at nonzero bins, and their ratios are inf / inf.
+    @pytest.mark.parametrize("scale, text", [(1e153, "ACGTTGCAACGGTAC"), (6.5e153, "ACGTTGCAACGGTAC" + "A" * 14)],
+                             ids=["total", "bins"])
+    def test_overflow_fails_the_total_without_a_warning(self, scale, text):
+        """Every entry point judges overflow alike: no numpy warning (tier-1
+        makes one an error), only a total check and a ratio check that fail."""
+        ind = build_indicators(dna(text))
+        rep = validate_row_orthogonal(build_zcurve().rows * scale, build_zcurve().alphabet_order, name="huge")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = spectrum_transformed(apply_representation(ind, rep))
+            ratio = snr_ratio_check(ind, rep)
+            total = verify_total_spectrum(ind, report=report)
+            _, (record_total, record_ratio) = check_record(ind, [(alphabet_table(rep, DNA), rep.d)])
+        for check in (total, record_total):
+            assert not (math.isfinite(check.expected) and math.isfinite(check.measured))
+            assert not check.passed()
+        assert not ratio.passed() and not record_ratio.passed()
 
     def test_per_channel_energy_mirrors_counts(self):
         seq = random_sequence(DNA, 777, np.random.default_rng(77))
