@@ -444,13 +444,15 @@ def _analysis_json(args, seq, label, notes, **fields):
 # -- per-bin profiles --------------------------------------------------------
 
 
-def _float_strings(values: np.ndarray, for_json: bool = False) -> list[str]:
-    """``repr`` of each value, as csv.writer and json.dumps write finite floats.
+def _json_float(x: float) -> str:
+    """*x* as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
-    json.dumps spells non-finite values NaN, Infinity and -Infinity, so a
-    JSON column holding any is formatted by json.dumps itself.
-    """
-    fmt = json.dumps if for_json and not np.isfinite(values).all() else float.__repr__
+
+def _float_strings(values: np.ndarray, for_json: bool = False) -> list[str]:
+    """``repr`` of each value, as csv.writer and json.dumps write finite
+    floats; a JSON column holding a non-finite value goes through _json_float."""
+    fmt = _json_float if for_json and not np.isfinite(values).all() else float.__repr__
     return list(map(fmt, values.tolist()))
 
 
@@ -656,11 +658,6 @@ _VERIFY_RATIO = """{
           "skipped_bins": %d,
           "vacuous": %s
         }"""
-
-
-def _json_float(x: float) -> str:
-    """*x* as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _verify_item(record: str, m: int, tot: spectral.TotalSpectrumCheck, ratios) -> str:

@@ -6,7 +6,8 @@ alphabets are sorted to keep results reproducible across runs. Encoded
 text gets codes of the narrowest unsigned dtype that holds the alphabet's
 indices: one byte per symbol for up to 256 symbols.
 
-Input text is case-folded to upper before validation. Ambiguity codes such
+Input text is case-folded to upper before validation; a character whose
+upper case is more than one character is refused. Ambiguity codes such
 as 'N' or '-' get no special treatment: they are ordinary symbols when the
 alphabet contains them and errors otherwise.
 """
@@ -201,10 +202,27 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
 
     Positions in error messages are 1-based within the cleaned record body.
     """
-    folded = text.upper()
-    if not folded:
+    if not text:
         raise SequenceError("empty sequence")
-    return _encode(folded, alphabet, id)
+    return _encode(_fold(text, id), alphabet, id)
+
+
+def _fold(body: str, id: str | None) -> str:
+    """*body* upper-cased, one character for one character.
+
+    A character whose upper case is longer (``'ß'`` is ``'SS'``) would
+    lengthen the sequence, so it is refused, named as written. Upper-casing
+    never shortens text, so one length comparison tells.
+    """
+    folded = body.upper()
+    if len(folded) != len(body):
+        pos = next(i for i, ch in enumerate(body) if len(ch.upper()) != 1)
+        where = f" of record {id!r}" if id else ""
+        raise SequenceError(
+            f"character {body[pos]!r} at position {pos + 1}{where} upper-cases to "
+            f"{body[pos].upper()!r}, not one character"
+        )
+    return folded
 
 
 def _encode(folded: str, alphabet: Alphabet, id: str | None) -> SymbolicSequence:
@@ -294,11 +312,11 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
     """
     cleaned: list[tuple[str | None, str]] = []
     for rid, raw in _records(text):
-        body = "".join(raw.split()).upper()
+        body = "".join(raw.split())
         if not body:
             where = f" (record {rid!r})" if rid else ""
             raise SequenceError(f"empty sequence{where}")
-        cleaned.append((rid, body))
+        cleaned.append((rid, _fold(body, rid)))
     if alphabet is None:
         alphabet = _infer_alphabet(cleaned)
     return [_encode(body, alphabet, rid) for rid, body in cleaned]
@@ -306,13 +324,26 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
 
 def to_fasta(seqs: SymbolicSequence | Iterable[SymbolicSequence], width: int = 60) -> str:
     """Serialize sequences as FASTA. Re-parsing the output with the same
-    alphabet reproduces the input sequences exactly."""
+    alphabet reproduces the input sequences exactly.
+
+    What would not read back is refused: an id that is empty, has leading
+    or trailing whitespace or holds a line break, and a symbol in the
+    sequence that is whitespace, '>' or ';', or that upper-casing changes.
+    """
     if isinstance(seqs, SymbolicSequence):
         seqs = [seqs]
     lines: list[str] = []
     for seq in seqs:
-        lines.append(">" + (seq.id or ""))
+        if seq.id is not None and seq.id.splitlines() != [seq.id.strip()]:  # _records reads one stripped line
+            raise SequenceError(f"record id {seq.id!r} does not read back from a FASTA header")
         s = seq.as_string()
+        unreadable = [c for c in seq.alphabet if c.isspace() or c in _MARKERS or c.upper() != c]
+        hits = [pos for pos in map(s.find, unreadable) if pos >= 0]
+        if hits:
+            pos = min(hits)
+            where = f" of record {seq.id!r}" if seq.id else ""
+            raise SequenceError(f"symbol {s[pos]!r} at position {pos + 1}{where} does not read back from FASTA")
+        lines.append(">" + (seq.id or ""))
         lines.extend(s[i : i + width] for i in range(0, len(s), width))
     return "\n".join(lines) + "\n"
 

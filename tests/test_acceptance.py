@@ -8,8 +8,6 @@ that criterion is reported as waived and skipped.
 """
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -17,7 +15,7 @@ import numpy as np
 import pytest
 
 import symspec as ss
-from conftest import child_env, dft_max_deviation
+from conftest import dft_max_deviation, run_child
 
 SEED = 20250809
 M_RANGE = (1, 2000)
@@ -206,45 +204,26 @@ def test_criterion_5_f56f11_benchmark():
     assert ok, failures
 
 
-def _run_cli(argv, stdin_text=""):
-    return subprocess.run(
-        [sys.executable, "-m", "symspec", *argv],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-
-
 def test_criterion_6_degenerate_inputs():
     cases = []
 
-    r = _run_cli(["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"], "AAAA")
-    cases.append(("single-symbol analyze", r.returncode == 0 and "vacuous" in r.stdout))
+    code, out, _ = run_child(["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"], "AAAA")
+    cases.append(("single-symbol analyze", code == 0 and "vacuous" in out))
 
-    r = _run_cli(["analyze", "--alphabet", "ACGT"], "A")
-    cases.append(("m=1 analyze (period 3)", r.returncode == 0 and "none" in r.stdout))
+    code, out, _ = run_child(["analyze", "--alphabet", "ACGT"], "A")
+    cases.append(("m=1 analyze (period 3)", code == 0 and "none" in out))
 
-    r = _run_cli(["verify", "--alphabet", "ACGT"], "AAAA")
-    cases.append((
-        "single-symbol verify",
-        r.returncode == 0 and "vacuous (no nonzero base bins)" in r.stdout,
-    ))
+    code, out, _ = run_child(["verify", "--alphabet", "ACGT"], "AAAA")
+    cases.append(("single-symbol verify", code == 0 and "vacuous (no nonzero base bins)" in out))
 
-    r = _run_cli(["analyze", "--alphabet", "AB", "--rep", "helmert"], "ABBABBAB")
-    cases.append(("T=2 alphabet analyze", r.returncode == 0))
+    code, _, _ = run_child(["analyze", "--alphabet", "AB", "--rep", "helmert"], "ABBABBAB")
+    cases.append(("T=2 alphabet analyze", code == 0))
 
-    r = _run_cli(["analyze", "--alphabet", "ACGT", "--period", "3"], "ACGTACGTAC")
-    cases.append((
-        "non-divisible period query",
-        r.returncode == 0 and "rounded, not exact" in r.stdout,
-    ))
+    code, out, _ = run_child(["analyze", "--alphabet", "ACGT", "--period", "3"], "ACGTACGTAC")
+    cases.append(("non-divisible period query", code == 0 and "rounded, not exact" in out))
 
-    r = _run_cli(["spectrum", "--alphabet", "ACGT"], "A")
-    cases.append((
-        "m=1 spectrum",
-        r.returncode == 0 and r.stdout.strip() == "k,frequency,power,snr",
-    ))
+    code, out, _ = run_child(["spectrum", "--alphabet", "ACGT"], "A")
+    cases.append(("m=1 spectrum", code == 0 and out.strip() == "k,frequency,power,snr"))
 
     failures = [name for name, passed in cases if not passed]
     ok = not failures
@@ -255,16 +234,16 @@ def test_criterion_6_degenerate_inputs():
 
 def test_criterion_7_cli_determinism():
     argv = ["verify", "--random", "50", "--seed", "7", "--format", "json"]
-    first = _run_cli(argv)
-    second = _run_cli(argv)
-    identical = first.stdout == second.stdout
-    ok = first.returncode == 0 and second.returncode == 0 and identical and first.stdout
-    _line(7, bool(ok), f"verify --random 50 --seed 7: {len(first.stdout)} bytes, "
+    first_code, first, first_err = run_child(argv)
+    second_code, second, second_err = run_child(argv)
+    identical = first == second
+    ok = first_code == 0 and second_code == 0 and identical and first
+    _line(7, bool(ok), f"verify --random 50 --seed 7: {len(first)} bytes, "
                        f"repeat run {'identical' if identical else 'DIFFERS'}")
-    assert first.returncode == 0, first.stderr
-    assert second.returncode == 0, second.stderr
+    assert first_code == 0, first_err
+    assert second_code == 0, second_err
     assert identical
-    obj = json.loads(first.stdout)
+    obj = json.loads(first)
     assert obj["all_pass"] is True
     assert obj["seed"] == 7
     assert len(obj["results"]) == 50

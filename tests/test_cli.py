@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import platform
 import subprocess
 import sys
@@ -19,26 +18,14 @@ from hypothesis import strategies as st
 
 from symspec import build_helmert, build_zcurve, cli, matrix_to_dict, save_matrix, spectral, validate_row_orthogonal
 from symspec.cli import _profile_csv, _profile_json, main
-from conftest import child_env
-
-
-@pytest.fixture
-def run(monkeypatch, capsys):
-    def _run(argv, stdin_text="", stdin_bytes=None):
-        data = stdin_text.encode() if stdin_bytes is None else stdin_bytes
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return _run
+from conftest import child_env, child_usage, run_child, run_main, traced
 
 
 class TestAnalyze:
-    def test_text_report_flags_rounded_peak(self, run):
-        code, out, err = run(
+    def test_text_report_flags_rounded_peak(self):
+        code, out, err = run_main(
             ["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0, err
         assert "k = 1" in out
@@ -46,11 +33,11 @@ class TestAnalyze:
         assert "snr = 1.0000" in out
         assert "snr = 1.3333" in out
 
-    def test_json_schema(self, run):
-        code, out, _ = run(
+    def test_json_schema(self):
+        code, out, _ = run_main(
             ["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
              "--format", "json"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0
         obj = json.loads(out)
@@ -70,10 +57,10 @@ class TestAnalyze:
             "power": pytest.approx(16.0), "snr": pytest.approx(4 / 3),
         }
 
-    def test_csv_profile(self, run):
-        code, out, _ = run(
+    def test_csv_profile(self):
+        code, out, _ = run_main(
             ["analyze", "--alphabet", "ACGT", "--rep", "base", "--format", "csv"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -81,58 +68,67 @@ class TestAnalyze:
         assert len(lines) == 4
         assert lines[1] == "base,1,0.25,4.0,1.0"
 
-    def test_rejects_bad_matrix_file(self, run, tmp_path):
+    def test_rejects_bad_matrix_file(self, tmp_path):
         bad = tmp_path / "badmatrix.json"
         bad.write_text(json.dumps({
             "name": "bad", "alphabet_order": None,
             "rows": [[1, -1, 1, -1], [1, 1, -1, -1], [1, 1, 1, -3]],
             "d": 2.0,
         }))
-        code, _, err = run(
+        code, _, err = run_main(
             ["analyze", "--alphabet", "ACGT", "--rep", f"file:{bad}"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code != 0
         assert "rows not orthogonal" in err
 
-    def test_matrix_file_representation_works(self, run, tmp_path):
+    def test_matrix_file_representation_works(self, tmp_path):
         path = tmp_path / "zcurve.json"
         save_matrix(build_zcurve(), path)
-        code, out, _ = run(
+        code, out, _ = run_main(
             ["analyze", "--alphabet", "ACGT", "--rep", f"file:{path}", "--format", "json"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0
         assert json.loads(out)["representations"][0]["total"] == pytest.approx(48.0)
 
-    def test_period_beyond_length_is_vacuous_not_error(self, run):
-        code, out, _ = run(["analyze", "--alphabet", "ACGT"], stdin_text="A")
+    def test_period_beyond_length_is_vacuous_not_error(self):
+        code, out, _ = run_main(["analyze", "--alphabet", "ACGT"], "A")
         assert code == 0
         assert "peak           : none" in out
 
-    def test_rejects_multi_record_input(self, run):
-        code, _, err = run(
-            ["analyze", "--alphabet", "ACGT"], stdin_text=">a\nAC\n>b\nGT\n"
+    def test_rejects_multi_record_input(self):
+        code, _, err = run_main(
+            ["analyze", "--alphabet", "ACGT"], ">a\nAC\n>b\nGT\n"
         )
         assert code == 2
         assert "exactly one" in err
 
     @pytest.mark.parametrize("argv", [["analyze", "--alphabet", "ACGT "], ["verify", "--alphabet", "AC GT"]])
-    def test_alphabet_with_whitespace_is_rejected(self, run, argv):
+    def test_alphabet_with_whitespace_is_rejected(self, argv):
         # Regression: "ACGT " made a fifth symbol, ' ', that no record can hold
         # (whitespace is stripped from every record): T = 5, ratio 1.2500.
-        code, out, err = run(argv + ["--rep", "helmert"], stdin_text="ACGTTGCAAC\n")
+        code, out, err = run_main(argv + ["--rep", "helmert"], "ACGTTGCAAC\n")
         assert (code, out) == (2, "")
         assert err == f"symspec: error: --alphabet {argv[2]!r} has whitespace, which is never a symbol\n"
 
-    def test_missing_input_file(self, run):
-        code, _, err = run(["analyze", "--input", "/nonexistent/f.fasta"])
+    def test_character_whose_upper_case_is_longer_is_rejected(self):
+        # Regression: 'ß' read as 'SS', m = 10 over ACGST for 9 characters, exit 0; and with
+        # --alphabet ACGT, the error named 'S', which the input does not hold.
+        message = "symspec: error: -: character '\u00df' at position {} upper-cases to 'SS', not one character\n"
+        assert run_main(["analyze", "--rep", "base"], "ACGT\u00dfACGT\n") == (2, "", message.format("5"))
+        assert run_main(["analyze", "--alphabet", "ACGT"], ">r\nAC\u00dfX\n") == (
+            2, "", message.format("3 of record 'r'")
+        )
+
+    def test_missing_input_file(self):
+        code, _, err = run_main(["analyze", "--input", "/nonexistent/f.fasta"])
         assert code == 2
         assert err
 
-    def test_undecodable_stdin_is_rejected(self, run):
+    def test_undecodable_stdin_is_rejected(self):
         # Regression: b"\xff\xfe" used to be read as a T = 2 sequence, exit 0.
-        code, out, err = run(["analyze"], stdin_bytes=b"\xff\xfe")
+        code, out, err = run_main(["analyze"], b"\xff\xfe")
         assert code == 2
         assert out == ""
         assert err.startswith("symspec: error: -: input is not UTF-8 text")
@@ -143,18 +139,18 @@ class TestAnalyze:
         assert main(["analyze", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["m"] == 4
 
-    def test_undecodable_input_file_is_rejected(self, run, tmp_path):
+    def test_undecodable_input_file_is_rejected(self, tmp_path):
         path = tmp_path / "bad.fa"
         path.write_bytes(b">x\nAC\xffGT\n")
-        code, _, err = run(["analyze", "--input", str(path)])
+        code, _, err = run_main(["analyze", "--input", str(path)])
         assert code == 2
         assert f"{path}: input is not UTF-8 text" in err
 
-    def test_output_file(self, run, tmp_path):
+    def test_output_file(self, tmp_path):
         out_path = tmp_path / "report.json"
-        code, out, _ = run(
+        code, out, _ = run_main(
             ["analyze", "--alphabet", "ACGT", "--format", "json", "--output", str(out_path)],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0
         assert out == ""
@@ -162,10 +158,10 @@ class TestAnalyze:
 
 
 class TestCompare:
-    def test_table_has_reference_field_names(self, run):
-        code, out, _ = run(
+    def test_table_has_reference_field_names(self):
+        code, out, _ = run_main(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"],
-            stdin_text="ACGACGACGACG",
+            "ACGACGACGACG",
         )
         assert code == 0
         for field in ("Length", "Total Spectra", "Mean Noise", "3-Periodicity", "SNR"):
@@ -173,21 +169,21 @@ class TestCompare:
         assert "measured 1.3333" in out
         assert "theoretical 1.3333" in out
 
-    def test_degenerate_sequence_reports_indeterminate(self, run):
-        code, out, _ = run(
+    def test_degenerate_sequence_reports_indeterminate(self):
+        code, out, _ = run_main(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"],
-            stdin_text="AAAA",
+            "AAAA",
         )
         assert code == 0
         assert "indeterminate" in out
 
-    def test_zcurve_vs_tetrahedron(self, run):
+    def test_zcurve_vs_tetrahedron(self):
         rng = np.random.default_rng(42)
         body = "".join("ACGT"[i] for i in rng.integers(0, 4, size=240))
-        code, out, _ = run(
+        code, out, _ = run_main(
             ["compare", "--alphabet", "ACGT", "--rep", "zcurve", "--rep", "tetrahedron",
              "--format", "json"],
-            stdin_text=body,
+            body,
         )
         assert code == 0
         obj = json.loads(out)
@@ -198,17 +194,11 @@ class TestCompare:
         assert ratio["theoretical"] == pytest.approx(1.0)
         assert ratio["measured"] == pytest.approx(1.0, rel=1e-9)
 
-    def test_too_few_representations_rejected_before_input_is_read(self, run):
-        code, out, err = run(["compare", "--rep", "base"], stdin_bytes=b"\xff\xfeACGT")
-        assert code == 2
-        assert out == ""
-        assert err == "symspec: error: compare needs at least two --rep selections\n"
-
-    def test_csv_fields(self, run):
-        code, out, _ = run(
+    def test_csv_fields(self):
+        code, out, _ = run_main(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
              "--format", "csv"],
-            stdin_text="ACGTACGTACGT",
+            "ACGTACGTACGT",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -217,14 +207,14 @@ class TestCompare:
 
 
 class TestVerify:
-    def test_random_dna_passes(self, run):
-        code, out, _ = run(["verify", "--random", "5", "--seed", "3"])
+    def test_random_dna_passes(self):
+        code, out, _ = run_main(["verify", "--random", "5", "--seed", "3"])
         assert code == 0
         assert "result: PASS (5/5 sequences)" in out
         assert "seed = 3" in out
 
-    def test_protein_ratio_is_twenty_nineteenths(self, run):
-        code, out, _ = run(
+    def test_protein_ratio_is_twenty_nineteenths(self):
+        code, out, _ = run_main(
             ["verify", "--random", "2", "--seed", "1", "--alphabet-size", "20",
              "--format", "json"]
         )
@@ -236,28 +226,22 @@ class TestVerify:
             for ratio in result["snr_ratio"]:
                 assert ratio["expected"] == pytest.approx(20 / 19)
 
-    def test_single_symbol_input_is_vacuous(self, run):
-        code, out, _ = run(["verify", "--alphabet", "ACGT"], stdin_text="AAAA")
+    def test_single_symbol_input_is_vacuous(self):
+        code, out, _ = run_main(["verify", "--alphabet", "ACGT"], "AAAA")
         assert code == 0
         assert "vacuous (no nonzero base bins)" in out
         assert "result: PASS" in out
 
-    def test_csv_format_rejected_before_input_is_read(self, run):
-        code, out, err = run(["verify", "--format", "csv"], stdin_bytes=b"\xff\xfeACGT")
-        assert code == 2
-        assert out == ""
-        assert err == "symspec: error: verify supports --format text or json\n"
-
-    def test_json_runs_are_identical(self, run):
+    def test_json_runs_are_identical(self):
         argv = ["verify", "--random", "4", "--seed", "7", "--format", "json"]
-        code1, out1, _ = run(argv)
-        code2, out2, _ = run(argv)
+        code1, out1, _ = run_main(argv)
+        code2, out2, _ = run_main(argv)
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_has_no_period_option(self, run, capsys):
+    def test_has_no_period_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["verify", "--random", "1", "--period", "0"])
+            main(["verify", "--random", "1", "--period", "0"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --period 0" in capsys.readouterr().err
 
@@ -267,24 +251,17 @@ class TestVerify:
         (["--random", "1", "--input", "-"], "--random makes its own sequences; it takes no --input or --alphabet"),
         (["--random", "1", "--alphabet", "auto"], "--random makes its own sequences; it takes no --input or --alphabet"),
     ])
-    def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, run, flags, message):
-        code, out, err = run(["verify", *flags], stdin_bytes=b"\xff\xfeACGT")
+    def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, flags, message):
+        code, out, err = run_main(["verify", *flags], b"\xff\xfeACGT")
         assert (code, out, err) == (2, "", f"symspec: error: {message}\n")
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_rejects_nonpositive_random_count(self, run, count):
-        code, out, err = run(["verify", "--random", count], stdin_text=">x\nACGT\n")
-        assert code == 2
-        assert out == ""
-        assert "positive count" in err
-
-    def test_rejects_negative_seed_before_drawing(self, run, monkeypatch):
+    def test_rejects_negative_seed_before_drawing(self, monkeypatch):
         monkeypatch.setattr(cli, "random_sequence", None)  # any draw would raise TypeError
-        code, out, err = run(["verify", "--random", "2", "--seed", "-1"])
+        code, out, err = run_main(["verify", "--random", "2", "--seed", "-1"])
         assert (code, out, err) == (2, "", "symspec: error: --seed must be a non-negative integer, got -1\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_a_failed_transform_total_fails_its_record(self, run, monkeypatch, fmt):
+    def test_a_failed_transform_total_fails_its_record(self, monkeypatch, fmt):
         """verify judges each representation it computes, the base and every
         transform, by its total and its SNR ratios, as analyze does."""
         checked = spectral.check_record
@@ -296,7 +273,7 @@ class TestVerify:
                 yield dataclasses.replace(total, relative_error=1.0), ratio
 
         monkeypatch.setattr(spectral, "check_record", transforms_fail)
-        code, out, _ = run(["verify", "--random", "3", "--seed", "3", "--format", fmt])
+        code, out, _ = run_main(["verify", "--random", "3", "--seed", "3", "--format", fmt])
         assert code == 1
         if fmt == "json":
             obj = json.loads(out)
@@ -313,12 +290,12 @@ class TestVerify:
         ("ACGX", "column symbol 'X' is missing from alphabet ACGT"),
         ("ACG", "has 3 columns but the alphabet ACGT has 4 symbols"),
     ], ids=["symbol", "size"])
-    def test_a_matrix_that_does_not_fit_is_refused_before_the_first_record(self, run, kernel, tmp_path,
+    def test_a_matrix_that_does_not_fit_is_refused_before_the_first_record(self, kernel, tmp_path,
                                                                             order, message):
         rows = build_zcurve().rows if len(order) == 4 else build_helmert(3).rows
         path = tmp_path / "matrix.json"
         save_matrix(validate_row_orthogonal(rows, alphabet_order=tuple(order), name="m"), path)
-        code, out, err = run(["verify", "--rep", f"file:{path}"], stdin_text=">a\nACGT\n>b\nGGCA\n")
+        code, out, err = run_main(["verify", "--rep", f"file:{path}"], ">a\nACGT\n>b\nGGCA\n")
         assert (code, out, err) == (2, "", f"symspec: error: matrix 'm' {message}\n")
         assert kernel.tables == []
 
@@ -331,20 +308,15 @@ class TestVerifyHoldsOneRecord:
     @pytest.mark.parametrize("fmt, per_record", [("json", 1536), ("text", 300)])
     def test_peak_grows_little_per_record(self, tmp_path, fmt, per_record):
         def peak(n):
-            tracemalloc.start()
-            try:
-                code = main(["verify", "--random", str(n), "--seed", "1", "--format", fmt,
-                             "--output", str(tmp_path / "out")])
-                return code, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(main, ["verify", "--random", str(n), "--seed", "1", "--format", fmt,
+                                 "--output", str(tmp_path / "out")])
 
         peak(2)  # first-call costs paid before the measured runs
-        (small_code, small), (large_code, large) = peak(100), peak(1000)
+        (small_code, _, small), (large_code, _, large) = peak(100), peak(1000)
         assert small_code == large_code == 0
         assert (large - small) / 900 < per_record, (small, large)
 
-    def test_one_sequence_alive_when_the_next_is_drawn(self, run, monkeypatch):
+    def test_one_sequence_alive_when_the_next_is_drawn(self, monkeypatch):
         made, alive = [], []
         draw = cli.random_sequence
 
@@ -355,23 +327,23 @@ class TestVerifyHoldsOneRecord:
             return seq
 
         monkeypatch.setattr(cli, "random_sequence", tracking)
-        code, _, err = run(["verify", "--random", "300"])
+        code, _, err = run_main(["verify", "--random", "300"])
         assert code == 0, err
         assert len(alive) == 300
         assert max(alive) <= 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_an_error_in_a_later_record_writes_nothing(self, run, tmp_path, fmt):
+    def test_an_error_in_a_later_record_writes_nothing(self, tmp_path, fmt):
         rep = _overflowing_matrix(tmp_path / "huge.json", build_zcurve().rows * 1e153)
         first, both, out_path = tmp_path / "a.fa", tmp_path / "ab.fa", tmp_path / "out.txt"
         first.write_text(">a\nACGTA\n")
         both.write_text(">a\nACGTA\n>b\nACGTTGCAACGGTAC\n")
         argv = ["verify", "--rep", rep, "--format", fmt]
-        code, _, err = run(argv + ["--input", str(first)])
+        code, _, err = run_main(argv + ["--input", str(first)])
         assert code == 0, err
         message = f"symspec: error: representation {rep!r} at m = 15: its total spectrum overflows float64\n"
-        assert run(argv + ["--input", str(both)]) == (2, "", message)
-        assert run(argv + ["--input", str(both), "--output", str(out_path)]) == (2, "", message)
+        assert run_main(argv + ["--input", str(both)]) == (2, "", message)
+        assert run_main(argv + ["--input", str(both), "--output", str(out_path)]) == (2, "", message)
         assert not out_path.exists()
 
 
@@ -427,13 +399,13 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("key", REFUSALS)
-def test_refused_before_input_is_read(run, kernel, tmp_path, key):
+def test_refused_before_input_is_read(kernel, tmp_path, key):
     """Each refusal comes before the input is read, which would refuse these
     bytes as not UTF-8, and before any spectrum is computed; nothing is written."""
     (tmp_path / "a-file").touch()
     places = {"tmp": tmp_path, "file": tmp_path / "a-file"}
     argv, message = REFUSALS[key]
-    code, out, err = run([arg.format(**places) for arg in argv], stdin_bytes=b"\xff\xfe")
+    code, out, err = run_main([arg.format(**places) for arg in argv], b"\xff\xfe")
     assert (code, out, err) == (2, "", f"symspec: error: {message.format(**places)}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
     assert kernel.tables == []
@@ -452,17 +424,17 @@ class TestHeaderlessInput:
     inferred alphabet never takes the FASTA markers '>' and ';' as symbols."""
 
     @pytest.mark.parametrize("command", sorted(_ONE_OF_EACH_COMMAND))
-    def test_comment_lines_are_skipped(self, run, command):
+    def test_comment_lines_are_skipped(self, command):
         # Regression: ';c\nACGT' was read as ';CACGT' over the alphabet ';ACGT'.
         argv = _ONE_OF_EACH_COMMAND[command]
-        code, out, err = run(argv, stdin_text=";c\nACGT\n;x\nTGCA\n")
+        code, out, err = run_main(argv, ";c\nACGT\n;x\nTGCA\n")
         assert code == 0, err
-        assert (code, out, err) == run(argv, stdin_text="ACGT\nTGCA\n")
+        assert (code, out, err) == run_main(argv, "ACGT\nTGCA\n")
 
     @pytest.mark.parametrize("command", sorted(_ONE_OF_EACH_COMMAND))
-    def test_markers_are_rejected(self, run, command):
+    def test_markers_are_rejected(self, command):
         # Regression: 'AC>GT 12' was analyzed over the alphabet '12>ACGT', exit 0.
-        code, out, err = run(_ONE_OF_EACH_COMMAND[command], stdin_text="AC>GT 12\n")
+        code, out, err = run_main(_ONE_OF_EACH_COMMAND[command], "AC>GT 12\n")
         assert (code, out) == (2, "")
         assert err == (
             "symspec: error: -: character '>' at position 3 marks a FASTA header "
@@ -471,15 +443,15 @@ class TestHeaderlessInput:
 
 
 class TestRecordSplitting:
-    def test_text_before_first_header_is_one_headerless_record(self, run):
-        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text="ACGT\n>x\nGG\n")
+    def test_text_before_first_header_is_one_headerless_record(self):
+        code, out, err = run_main(["analyze", "--alphabet", "ACGT"], "ACGT\n>x\nGG\n")
         assert (code, out) == (2, "")
         assert err == "symspec: error: -: character '>' at position 5 is not in alphabet ACGT\n"
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
-    def test_comment_only_input_has_no_records(self, run, command):
+    def test_comment_only_input_has_no_records(self, command):
         # Regression: this read as one empty record, "-: empty sequence".
-        code, out, err = run([command], stdin_text=";only a comment\n")
+        code, out, err = run_main([command], ";only a comment\n")
         assert (code, out) == (2, "")
         assert err == "symspec: error: -: no sequence records in input\n"
 
@@ -488,22 +460,22 @@ class TestIndentedMarkers:
     """A line is a header or a comment when its first non-blank character
     is '>' or ';', wherever it stands in the input."""
 
-    def test_indented_header_is_not_dropped(self, run):
+    def test_indented_header_is_not_dropped(self):
         # Regression: analyze reported record 'y' alone, with m = 2, and exit 0.
         text = "\t>x\nACGTACGT\n>y\nGT\n"
-        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text=text)
+        code, out, err = run_main(["analyze", "--alphabet", "ACGT"], text)
         assert (code, out) == (2, "")
         assert err == "symspec: error: -: input has 2 records; this command analyzes exactly one\n"
-        code, out, err = run(["verify", "--alphabet", "ACGT", "--format", "json"], stdin_text=text)
+        code, out, err = run_main(["verify", "--alphabet", "ACGT", "--format", "json"], text)
         assert code == 0, err
         assert [(r["id"], r["m"]) for r in json.loads(out)["results"]] == [("x", 8), ("y", 2)]
 
     @pytest.mark.parametrize("text", ["  >id\nACGT\n", "  ;c\n>id\nACGT\n"])
-    def test_indented_lines_read_as_unindented(self, run, text):
+    def test_indented_lines_read_as_unindented(self, text):
         argv = ["analyze", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve"]
-        code, out, err = run(argv, stdin_text=text)
+        code, out, err = run_main(argv, text)
         assert code == 0, err
-        assert (code, out, err) == run(argv, stdin_text=text.replace("  ", ""))
+        assert (code, out, err) == run_main(argv, text.replace("  ", ""))
 
 
 class TestByteOrderMark:
@@ -512,27 +484,27 @@ class TestByteOrderMark:
 
     @pytest.mark.parametrize("text", ["ACGTTGCAAC\n", ">x\nACGTTGCAAC\n"], ids=["headerless", "fasta"])
     @pytest.mark.parametrize("command", ["analyze", "verify"])
-    def test_a_leading_mark_is_dropped(self, run, tmp_path, command, text):
+    def test_a_leading_mark_is_dropped(self, tmp_path, command, text):
         # Regression: headerless, the mark was a fifth symbol (T = 5); in FASTA, a marker error.
         argv, marked, path = [command, "--rep", "helmert"], b"\xef\xbb\xbf" + text.encode(), tmp_path / "in.fa"
-        plain = run(argv, stdin_text=text)
+        plain = run_main(argv, text)
         assert plain[0] == 0, plain
-        assert run(argv, stdin_bytes=marked) == plain
+        assert run_main(argv, marked) == plain
         path.write_text(text)
-        plain = run(argv + ["--input", str(path)])
+        plain = run_main(argv + ["--input", str(path)])
         path.write_bytes(marked)
-        assert run(argv + ["--input", str(path)]) == plain
+        assert run_main(argv + ["--input", str(path)]) == plain
 
     @pytest.mark.parametrize("text, position", [("AC\ufeffGT\n", 3), ("\ufeff\ufeffACGT\n", 1)])
-    def test_any_other_mark_is_a_character(self, run, text, position):
-        code, out, err = run(["analyze", "--alphabet", "ACGT"], stdin_text=text)
+    def test_any_other_mark_is_a_character(self, text, position):
+        code, out, err = run_main(["analyze", "--alphabet", "ACGT"], text)
         assert (code, out) == (2, "")
         assert err == f"symspec: error: -: character '\\ufeff' at position {position} is not in alphabet ACGT\n"
 
-    def test_a_text_stream_drops_it_too(self, run, monkeypatch, capsys):
+    def test_a_text_stream_drops_it_too(self, monkeypatch, capsys):
         # Regression: a text stream with no .buffer kept the mark, a character at position 1 (exit 2).
         argv = ["analyze", "--alphabet", "ACGT"]
-        plain = run(argv, stdin_text="ACGTTGCA\n")
+        plain = run_main(argv, "ACGTTGCA\n")
         assert plain[0] == 0, plain
         monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffACGTTGCA\n"))
         assert (main(argv), *capsys.readouterr()) == plain
@@ -543,11 +515,11 @@ class TestSpectraComputedOnce:
     spectrum per transform, however many checks use them and however often
     --rep names it: each table goes through the kernel once."""
 
-    def test_analyze(self, run, kernel):
+    def test_analyze(self, kernel):
         reps = ["base", "zcurve", "tetrahedron", "zcurve", "base"]
-        code, out, err = run(
+        code, out, err = run_main(
             ["analyze", *(f"--rep={rep}" for rep in reps), "--format", "json"],
-            stdin_text=">x\nACGTTGCAACGG\n",
+            ">x\nACGTTGCAACGG\n",
         )
         assert code == 0, err
         assert kernel.tables == [[(4, 4)], [(3, 4)], [(3, 4)]]
@@ -555,28 +527,28 @@ class TestSpectraComputedOnce:
         assert [e["name"] for e in entries] == reps
         assert entries[3] == entries[1] and entries[4] == entries[0]
 
-    def test_compare(self, run, kernel):
-        code, _, err = run(
+    def test_compare(self, kernel):
+        code, _, err = run_main(
             ["compare", "--rep", "base", "--rep", "helmert", "--rep", "helmert"],
-            stdin_text=">x\nACDEFGHIKLMNPQ\n",
+            ">x\nACDEFGHIKLMNPQ\n",
         )
         assert code == 0, err
         assert kernel.tables == [[(14, 14)], [(13, 14)]]
 
-    def test_verify_two_records(self, run, kernel):
+    def test_verify_two_records(self, kernel):
         """verify makes no report: each record's checks take the base's and
         each transform's rows through one pass of the kernel."""
-        code, _, err = run(
+        code, _, err = run_main(
             ["verify", "--rep", "zcurve", "--rep", "tetrahedron", "--rep", "helmert", "--rep", "helmert"],
-            stdin_text=">a\nACGTTGCA\n>b\nGGCATTACA\n",
+            ">a\nACGTTGCA\n>b\nGGCATTACA\n",
         )
         assert code == 0, err
         assert kernel.tables == [[(4, 4), (3, 4), (3, 4), (3, 4)]] * 2  # helmert once
 
     @pytest.mark.parametrize("rep, expected", [("base", [[(4, 4)]]), ("zcurve", [[(3, 4)]])])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_spectrum_computes_only_its_own(self, run, kernel, rep, expected, fmt):
-        code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=">x\nACGTTGCAACGG\n")
+    def test_spectrum_computes_only_its_own(self, kernel, rep, expected, fmt):
+        code, _, err = run_main(["spectrum", "--rep", rep, "--format", fmt], ">x\nACGTTGCAACGG\n")
         assert code == 0, err
         assert kernel.tables == expected
 
@@ -595,19 +567,19 @@ class TestRatioChecksKeepTheirHalf:
         ],
         ids=["analyze", "compare", "verify"],
     )
-    def test_ratios_are_never_built(self, run, monkeypatch, argv, stdin_text):
+    def test_ratios_are_never_built(self, monkeypatch, argv, stdin_text):
         checks, ratio_check = [], spectral._ratio_check
         monkeypatch.setattr(spectral, "_ratio_check", lambda *args: checks.append(ratio_check(*args)) or checks[-1])
-        code, _, err = run(argv, stdin_text=stdin_text)
+        code, _, err = run_main(argv, stdin_text)
         assert code == 0, err
         assert checks
         assert all("ratios" not in vars(check) for check in checks)
 
 
 class TestSpectrum:
-    def test_csv_rows(self, run):
-        code, out, _ = run(
-            ["spectrum", "--alphabet", "ACGT", "--rep", "base"], stdin_text="ACGT"
+    def test_csv_rows(self):
+        code, out, _ = run_main(
+            ["spectrum", "--alphabet", "ACGT", "--rep", "base"], "ACGT"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -615,9 +587,9 @@ class TestSpectrum:
         assert len(lines) == 4
         assert lines[1] == "1,0.25,4.0,1.0"
 
-    def test_zcurve_power_is_scaled(self, run):
-        code, out, _ = run(
-            ["spectrum", "--alphabet", "ACGT", "--rep", "zcurve"], stdin_text="ACGT"
+    def test_zcurve_power_is_scaled(self):
+        code, out, _ = run_main(
+            ["spectrum", "--alphabet", "ACGT", "--rep", "zcurve"], "ACGT"
         )
         assert code == 0
         k, freq, power, snr = out.strip().splitlines()[1].split(",")
@@ -625,15 +597,15 @@ class TestSpectrum:
         assert float(power) == pytest.approx(16.0, rel=1e-12)
         assert float(snr) == pytest.approx(4 / 3, rel=1e-12)
 
-    def test_length_one_emits_header_only(self, run):
-        code, out, _ = run(["spectrum", "--alphabet", "ACGT"], stdin_text="A")
+    def test_length_one_emits_header_only(self):
+        code, out, _ = run_main(["spectrum", "--alphabet", "ACGT"], "A")
         assert code == 0
         assert out.strip() == "k,frequency,power,snr"
 
-    def test_json_columns(self, run):
-        code, out, _ = run(
+    def test_json_columns(self):
+        code, out, _ = run_main(
             ["spectrum", "--alphabet", "ACGT", "--rep", "base", "--format", "json"],
-            stdin_text="ACGT",
+            "ACGT",
         )
         assert code == 0
         obj = json.loads(out)
@@ -680,10 +652,10 @@ class TestTotalSpectrumOverflow:
 
     @pytest.mark.parametrize("case", [OVERFLOW_BEFORE, OVERFLOW_AFTER], ids=["before", "after"])
     @pytest.mark.parametrize("key", OVERFLOW_ARGV)
-    def test_exits_2_with_nothing_written(self, run, kernel, tmp_path, key, case):
+    def test_exits_2_with_nothing_written(self, kernel, tmp_path, key, case):
         text, m, rows = case
         rep = _overflowing_matrix(tmp_path / "huge.json", rows)
-        code, out, err = run(OVERFLOW_ARGV[key] + ["--rep", rep], stdin_text=text)
+        code, out, err = run_main(OVERFLOW_ARGV[key] + ["--rep", rep], text)
         assert (code, out) == (2, "")
         assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
         shapes = [shape for call in kernel.tables for shape in call]
@@ -695,14 +667,10 @@ class TestTotalSpectrumOverflow:
         rep = _overflowing_matrix(tmp_path / "huge.json", rows)
         (tmp_path / "x.fa").write_text(text)
         out_path = tmp_path / "out.txt"
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "symspec", "analyze", "--rep", rep,
-             "--input", str(tmp_path / "x.fa"), "--output", str(out_path)],
-            env=child_env(),
-            capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
+        code, out, err = run_child(["analyze", "--rep", rep, "--input", str(tmp_path / "x.fa"),
+                                    "--output", str(out_path)], dev=True)
+        assert (code, out) == (2, "")
+        assert err == f"symspec: error: representation {rep!r} at m = {m}: its total spectrum overflows float64\n"
         assert not out_path.exists()
 
 
@@ -725,25 +693,19 @@ def test_matrix_out_of_scale_prints_one_line(tmp_path, scale):
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps({"name": "scaled", "alphabet_order": list("ACGT"),
                                 "rows": (build_zcurve().rows * scale).tolist(), "d": 2 * scale}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "symspec", "analyze", "--rep", f"file:{path}"],
-        input="ACGTTGCAAC\n", env=child_env(), capture_output=True, text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"symspec: error: matrix scale out of range: its largest entry is {scale:.3g},")
-    assert proc.stderr.count("\n") == 1, proc.stderr
+    code, out, err = run_child(["analyze", "--rep", f"file:{path}"], "ACGTTGCAAC\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"symspec: error: matrix scale out of range: its largest entry is {scale:.3g},")
+    assert err.count("\n") == 1, err
 
 
 def test_malformed_matrix_file_prints_one_line(tmp_path):
     """Regression: a row cell that is a JSON object exited 1 with a traceback."""
     path = tmp_path / "object-cell.json"
     path.write_text(json.dumps({**matrix_to_dict(build_zcurve()), "rows": [[{}, -1, 1, -1]] * 3}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "symspec", "analyze", "--rep", f"file:{path}"],
-        input="ACGTTGCAAC\n", env=child_env(), capture_output=True, text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "symspec: error: matrix must be rows of numbers, all of one length\n"
+    code, out, err = run_child(["analyze", "--rep", f"file:{path}"], "ACGTTGCAAC\n")
+    assert (code, out) == (2, "")
+    assert err == "symspec: error: matrix must be rows of numbers, all of one length\n"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -753,11 +715,11 @@ def test_malformed_matrix_file_prints_one_line(tmp_path):
     ("d", True, "matrix JSON needs 'rows' and a numeric 'd'"),
 ], ids=["string-cell", "bool-cell", "string-d", "bool-d"])
 @pytest.mark.parametrize("command", ["analyze", "verify"])
-def test_matrix_numbers_that_are_not_numbers_are_refused(run, tmp_path, command, field, value, message):
+def test_matrix_numbers_that_are_not_numbers_are_refused(tmp_path, command, field, value, message):
     """Regression: each of these loaded as the number it spells."""
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({**matrix_to_dict(build_zcurve()), field: value}))
-    assert run([command, "--rep", f"file:{path}"], stdin_text="ACGTTGCAAC\n") == (2, "", f"symspec: error: {message}\n")
+    assert run_main([command, "--rep", f"file:{path}"], "ACGTTGCAAC\n") == (2, "", f"symspec: error: {message}\n")
 
 
 _FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf])
@@ -804,18 +766,18 @@ class TestVerifyOnePassPerRecord:
         return rows
 
     @pytest.mark.parametrize("size, per_record", [("4", 4 + 3 * 3), ("20", 20 + 19)])
-    def test_one_rfft_per_record(self, run, rows, size, per_record):
-        code, _, err = run(["verify", "--random", "40", "--seed", "5", "--alphabet-size", size])
+    def test_one_rfft_per_record(self, rows, size, per_record):
+        code, _, err = run_main(["verify", "--random", "40", "--seed", "5", "--alphabet-size", size])
         assert code == 0, err
         assert rows == [per_record] * 40
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_small_batches_write_the_same_bytes(self, run, rows, monkeypatch, fmt):
+    def test_small_batches_write_the_same_bytes(self, rows, monkeypatch, fmt):
         argv = ["verify", "--random", "40", "--seed", "5", "--format", fmt]
-        whole = run(argv)
+        whole = run_main(argv)
         one_per_record = len(rows)
         monkeypatch.setattr(spectral, "_BLOCK_BINS", 3000)  # from m = 231, batches split tables and span them
-        assert run(argv) == whole
+        assert run_main(argv) == whole
         assert len(rows) - one_per_record > one_per_record
 
 
@@ -885,20 +847,6 @@ def libc(monkeypatch):
     return fake
 
 
-@pytest.fixture
-def run_entry(monkeypatch, capsys):
-    """Run ``cli.entry()``, the path of ``python -m symspec``, in-process."""
-    def _run(argv, stdin_text=""):
-        monkeypatch.setattr(sys, "argv", ["symspec", *argv])
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode())))
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        captured = capsys.readouterr()
-        return exc.value.code, captured.out, captured.err
-
-    return _run
-
-
 DNA_TEXT = ">x\nACGTTGCAACGGTTA\n"
 
 
@@ -925,14 +873,14 @@ class TestMallocTuning:
     """``entry()`` tunes glibc's malloc before main() and trims the heap
     once, in _write(); library use and an in-process main() touch neither."""
 
-    def test_entry_sets_both_thresholds_before_main(self, libc, monkeypatch, run_entry):
+    def test_entry_sets_both_thresholds_before_main(self, libc, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "main", lambda: seen.append(list(libc.calls)) or 0)
-        assert run_entry([])[0] == 0
+        assert run_main([], entry=True)[0] == 0
         assert seen == [[("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]]
 
     @pytest.mark.parametrize("key", list(COMMAND_ARGV))
-    def test_one_trim_after_the_spectra_before_any_formatting(self, libc, kernel, monkeypatch, run_entry, key):
+    def test_one_trim_after_the_spectra_before_any_formatting(self, libc, kernel, monkeypatch, key):
         def formatting(*args, **kwargs):
             libc.calls.append("format")
             return float_strings(*args, **kwargs)
@@ -940,7 +888,7 @@ class TestMallocTuning:
         float_strings, trim, halves_at_trim = cli._float_strings, libc.malloc_trim, []
         monkeypatch.setattr(cli, "_float_strings", formatting)
         libc.malloc_trim = lambda pad: halves_at_trim.append(len(kernel.halves)) or trim(pad)
-        code, _, err = run_entry(COMMAND_ARGV[key], DNA_TEXT)
+        code, _, err = run_main(COMMAND_ARGV[key], DNA_TEXT, entry=True)
         assert code == 0, err
         assert [call[0] for call in libc.calls[:2]] == ["mallopt", "mallopt"]
         assert kernel.halves and halves_at_trim == [len(kernel.halves)]  # one trim, after every spectrum
@@ -948,7 +896,7 @@ class TestMallocTuning:
 
     @pytest.mark.parametrize("fault", ["no mallopt", "no libc", "mallopt refuses"])
     @pytest.mark.parametrize("argv", [COMMAND_ARGV["analyze-csv"], ["compare", "--rep", "base"]])
-    def test_other_c_libraries_change_nothing(self, libc, monkeypatch, run, run_entry, fault, argv):
+    def test_other_c_libraries_change_nothing(self, libc, monkeypatch, fault, argv):
         if fault == "no mallopt":
             del libc.mallopt
         elif fault == "no libc":
@@ -957,13 +905,13 @@ class TestMallocTuning:
             monkeypatch.setattr(ctypes, "CDLL", no_libc)
         else:
             libc.mallopt = lambda param, value: libc.calls.append(("mallopt", param, value)) or 0
-        assert run_entry(argv, DNA_TEXT) == run(argv, stdin_text=DNA_TEXT)
+        assert run_main(argv, DNA_TEXT, entry=True) == run_main(argv, DNA_TEXT)
         assert cli._tuned_libc is None
         assert ("malloc_trim", 0) not in libc.calls
 
     @pytest.mark.parametrize("key", list(COMMAND_ARGV))
-    def test_in_process_main_makes_no_call(self, libc, run, key):
-        code, _, err = run(COMMAND_ARGV[key], stdin_text=DNA_TEXT)
+    def test_in_process_main_makes_no_call(self, libc, key):
+        code, _, err = run_main(COMMAND_ARGV[key], DNA_TEXT)
         assert code == 0, err
         assert libc.calls == []
 
@@ -974,7 +922,6 @@ class TestMallocTuning:
         path = _fasta_file(tmp_path / "dna.fa", b"ACGT", 500_000)
         argv = ["analyze", "--input", str(path), "--rep", "base", "--rep", "zcurve", "--rep", "tetrahedron",
                 "--format", "json"]
-        env = child_env()
         children = {
             "entry": ["-m", "symspec"],
             "main": ["-c", "import sys; from symspec.cli import main; sys.exit(main(sys.argv[1:]))"],
@@ -982,12 +929,9 @@ class TestMallocTuning:
         faults, outputs = {}, {}
         for name, head in children.items():
             out_path = tmp_path / f"{name}.out"
-            with open(out_path, "wb") as out:
-                proc = subprocess.Popen([sys.executable, *head, *argv], stdout=out, env=env)
-                _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == 0
-            faults[name], outputs[name] = usage.ru_minflt, out_path.read_bytes()
+            status, _, faults[name] = child_usage([*head, *argv], stdout=out_path)
+            assert status == 0
+            outputs[name] = out_path.read_bytes()
         assert outputs["entry"] == outputs["main"]
         assert faults["entry"] < faults["main"] / 2, faults
 
@@ -1022,18 +966,18 @@ class TestReportsKeptForProfilesOnly:
         ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv",
              "verify-text", "verify-json"],
     )
-    def test_reports_alive_when_each_spectrum_starts(self, run, alive, argv, kept):
+    def test_reports_alive_when_each_spectrum_starts(self, alive, argv, kept):
         records = 2 if argv[0] == "verify" else 1  # verify checks two records, each against its implicit base
         reps = ["--rep=base"] * (records == 1) + ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
-        code, _, err = run(argv + reps, stdin_text=DNA_TEXT + ">y\nGGCATTACA\n" * (records - 1))
+        code, _, err = run_main(argv + reps, DNA_TEXT + ">y\nGGCATTACA\n" * (records - 1))
         assert code == 0, err
         record = [[], [True], [True, kept], [True, kept, kept]]  # the base, then three transforms
         assert alive == [[False] * 4 * r + row for r in range(records) for row in record] + [[kept] * 4 * records]
 
     @pytest.mark.parametrize("rep", ["base", "zcurve"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_spectrum_keeps_its_one_report(self, run, alive, rep, fmt):
-        code, _, err = run(["spectrum", "--rep", rep, "--format", fmt], stdin_text=DNA_TEXT)
+    def test_spectrum_keeps_its_one_report(self, alive, rep, fmt):
+        code, _, err = run_main(["spectrum", "--rep", rep, "--format", fmt], DNA_TEXT)
         assert code == 0, err
         assert alive == [[], [True]]
 
@@ -1067,12 +1011,7 @@ class TestAnalyzeBytesPerSymbol:
         assert analyze(_fasta_file(tmp_path / "small.fa", symbols, 100)) == 0  # imports done before tracing
         path = _fasta_file(tmp_path / "large.fa", symbols, m)
         held.clear()
-        tracemalloc.start()
-        try:
-            code = analyze(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, _, peak = traced(analyze, path)
         assert code == 0
         assert len(held) == len(reps)
         assert max(held) <= 5 * m + 128 * 1024, [h / m for h in held]
@@ -1088,25 +1027,9 @@ def test_base_spectrum_of_a_large_alphabet_holds_no_dense_identity(tmp_path):
     path.write_text(">x\n" + "".join(np.random.default_rng(3000).permutation(symbols * 2)) + "\n", encoding="utf-8")
     argv = ["analyze", "--format", "json", "--output", str(tmp_path / "out.json")]
     assert main(argv + ["--input", str(_fasta_file(tmp_path / "small.fa", b"ACGT", 100))]) == 0  # imports
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--input", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced(main, argv + ["--input", str(path)])
     assert code == 0
     assert peak <= 24 * 2**20, peak / 2**20
-
-
-# Starts the command in its argv and prints the child's ru_maxrss (KiB) and
-# exit status. It does not import numpy: a child exec'd from a process
-# starts from that process's RSS high-water mark.
-_RSS_LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
-"""
 
 
 @pytest.mark.skipif(
@@ -1122,9 +1045,7 @@ def test_analyze_peak_rss_above_an_import(tmp_path):
     env = {**child_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def peak_kib(*argv):
-        out = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, sys.executable, *argv],
-                             env=env, capture_output=True, text=True, check=True).stdout
-        kib, status = map(int, out.split())
+        status, kib, _ = child_usage(argv, env=env)
         assert status == 0, argv
         return kib
 

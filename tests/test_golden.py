@@ -14,12 +14,9 @@ and review the diff before committing it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import random
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -27,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from symspec import build_zcurve, save_matrix, validate_row_orthogonal
-from symspec.cli import build_parser, main
-from conftest import child_env
+from symspec.cli import build_parser
+from conftest import run_child, run_main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
 INLINE_BYTES = 4096  # stdout up to this size is stored verbatim
@@ -157,17 +154,7 @@ def _argv(argv: list[str], matrices: dict[str, Path]) -> list[str]:
 
 def run_case(cid: str, matrices: dict[str, Path], extra: list[str] = ()) -> tuple[int, str, str]:
     inp, argv = CASES[cid]
-    data = INPUTS[inp].encode() if inp else b""
-    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = stdin
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(_argv(argv, matrices) + list(extra))
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    return run_main(_argv(argv, matrices) + list(extra), INPUTS[inp] if inp else "")
 
 
 def record(code: int, out: str, err: str) -> dict:
@@ -226,13 +213,7 @@ ENTRY_CASES = [
 @pytest.mark.parametrize("cid", ENTRY_CASES)
 def test_entry_process_matches_golden(cid, golden):
     inp, argv = CASES[cid]
-    proc = subprocess.run(
-        [sys.executable, "-m", "symspec", *argv],
-        input=INPUTS[inp].encode() if inp else b"",
-        capture_output=True,
-        env=child_env(),
-    )
-    assert record(proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == golden[cid]
+    assert record(*run_child(argv, INPUTS[inp] if inp else "")) == golden[cid]
 
 
 @pytest.mark.parametrize("cid", OUTPUT_CASES)

@@ -1,13 +1,13 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import traced
 from symspec import (
     DNA,
     Alphabet,
@@ -198,12 +198,7 @@ class TestValidateRowOrthogonal:
         # Regression: the builder's rows, their copy, the row Gram, its off-diagonal
         # part, rows/d, the column Gram and a dense identity were alive together: 8.0 T^2 floats.
         T = 1000
-        tracemalloc.start()
-        try:
-            build_helmert(T)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(build_helmert, T)
         assert peak <= 3.5 * 8 * T**2
 
 

@@ -1,7 +1,3 @@
-import contextlib
-import io
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +15,7 @@ from symspec import (
     sequence_from_string,
     to_fasta,
 )
-from symspec.cli import main
+from conftest import run_main, traced
 
 
 class TestAlphabet:
@@ -167,12 +163,7 @@ class TestParseFasta:
     def test_parse_peak_memory_per_symbol(self, alphabet):
         m = 200_000
         text = to_fasta(random_sequence(alphabet, m, np.random.default_rng(3), id="r"))
-        tracemalloc.start()
-        try:
-            parse_fasta(text, alphabet)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(parse_fasta, text, alphabet)
         assert peak <= 16 * m
 
 
@@ -323,6 +314,39 @@ def test_fasta_round_trip_random_alphabets_ids_and_widths(data):
     assert parse_fasta(to_fasta(seqs, width=width), alphabet) == seqs
 
 
+@pytest.mark.parametrize("text, id, message", [
+    # Regression: written as '>r\nA\n>\nC\n', which reads back as two records of m = 1.
+    ("A>C", "r", "symbol '>' at position 2 of record 'r' does not read back from FASTA"),
+    ("A;C", "r", "symbol ';' at position 2 of record 'r' does not read back from FASTA"),
+    ("AC A", None, "symbol ' ' at position 3 does not read back from FASTA"),
+    ("ACa", "r", "symbol 'a' at position 3 of record 'r' does not read back from FASTA"),
+    ("\u00dfA", "r", "symbol '\u00df' at position 1 of record 'r' does not read back from FASTA"),
+    ("AC", "", "record id '' does not read back from a FASTA header"),
+    ("AC", " r", "record id ' r' does not read back from a FASTA header"),
+    ("AC", "r\t", "record id 'r\\t' does not read back from a FASTA header"),
+    ("AC", "a\nb", "record id 'a\\nb' does not read back from a FASTA header"),
+    ("AC", "a\u2028b", "record id 'a\\u2028b' does not read back from a FASTA header"),
+], ids=["gt", "semicolon", "space", "lower", "sharp-s", "empty-id", "leading-space-id", "trailing-tab-id",
+        "newline-id", "line-separator-id"])
+def test_to_fasta_refuses_what_does_not_read_back(text, id, message):
+    alphabet = Alphabet(tuple(dict.fromkeys("AC" + text)))
+    seq = SymbolicSequence(alphabet, [alphabet.index(c) for c in text], id=id)
+    with pytest.raises(SequenceError) as exc:
+        to_fasta(seq, width=1)
+    assert str(exc.value) == message
+
+
+def test_a_character_whose_upper_case_is_longer_is_refused():
+    # Regression: 'ß' upper-cased to 'SS' and lengthened the sequence by one.
+    message = "character '\u00df' at position {} of record 'r' upper-cases to 'SS', not one character"
+    with pytest.raises(SequenceError) as exc:
+        sequence_from_string("ACGT\u00dfACGT", Alphabet("ACGST"), id="r")
+    assert str(exc.value) == message.format(5)
+    with pytest.raises(SequenceError) as exc:
+        parse_fasta(">r\nACG\nT\u00df AC\n")  # counted in the cleaned body, as the encoder counts
+    assert str(exc.value) == message.format(5)
+
+
 @settings(deadline=None)
 @given(data=st.data())
 def test_stray_character_is_rejected_with_the_encoder_message(data, tmp_path_factory):
@@ -348,11 +372,9 @@ def test_stray_character_is_rejected_with_the_encoder_message(data, tmp_path_fac
     # The command line reports the same message and exits 2.
     path = tmp_path_factory.mktemp("stray") / "input.fa"
     path.write_text(text, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["verify", "--rep", "helmert", f"--alphabet={alphabet}", "--input", str(path)])
+    code, _, err = run_main(["verify", "--rep", "helmert", f"--alphabet={alphabet}", "--input", str(path)])
     assert code == 2
-    assert err.getvalue() == f"symspec: error: {path}: {message}\n"
+    assert err == f"symspec: error: {path}: {message}\n"
 
 
 def _as_string_per_character(seq):
@@ -401,23 +423,25 @@ def test_random_sequence_is_seed_deterministic():
 def test_random_sequence_keeps_its_draw_uncopied():
     m = 1_000_000
     rng = np.random.default_rng(12)
-    tracemalloc.start()
-    try:
-        seq = random_sequence(DNA, m, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seq, _, peak = traced(random_sequence, DNA, m, rng)
     assert peak <= 8 * m + 64 * 1024
     assert not seq.codes.flags.writeable
 
 
 def _encode_per_character(text, alphabet, id=None):
-    """The original per-character encoder, kept as the reference."""
-    folded = text.upper()
+    """The original per-character encoder, kept as the reference: each
+    character is folded to upper on its own, all before any is encoded."""
+    where = f" of record {id!r}" if id else ""
+    folded = []
+    for pos, ch in enumerate(text):
+        if len(ch.upper()) != 1:
+            raise SequenceError(
+                f"character {ch!r} at position {pos + 1}{where} upper-cases to {ch.upper()!r}, not one character"
+            )
+        folded.append(ch.upper())
     codes = []
     for pos, ch in enumerate(folded):
         if ch not in alphabet:
-            where = f" of record {id!r}" if id else ""
             raise SequenceError(
                 f"character {ch!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
             )

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dft_max_deviation
+from conftest import dft_max_deviation, traced
 from symspec import spectral
 from symspec import (
     DFT_MATCH_TOL,
@@ -301,14 +300,13 @@ class TestNoDenseMatrix:
         size, m = 20, 200_000
         seq = random_sequence(PROTEIN, m, np.random.default_rng(20))
         dense_bytes = size * m * 8  # 32 MB
-        tracemalloc.start()
-        try:
+
+        def spectra():
             ind = build_indicators(seq)
             spectrum_base(ind)
             spectrum_transformed(apply_representation(ind, build_helmert(size)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced(spectra)
         assert peak < dense_bytes
 
 
@@ -356,8 +354,8 @@ class TestHalfSpectrum:
         reps = [build_zcurve(), build_helmert(4)]
         sigs = [apply_representation(ind, rep) for rep in reps]
         snr_ratio_check(ind, reps[0])  # numpy.fft and the rest are imported before tracing
-        tracemalloc.start()
-        try:
+
+        def checks_and_lookups():
             base = spectrum_base(ind)
             reports = [base] + [spectrum_transformed(sig) for sig in sigs]
             for rep, report in zip(reps, reports[1:]):
@@ -366,9 +364,9 @@ class TestHalfSpectrum:
                 verify_total_spectrum(ind, report=report)
                 periodicity_query(report, 3)
                 report.snr_at(m - 7)  # a bin on the mirrored side
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return reports
+
+        reports, retained, _ = traced(checks_and_lookups)
         assert retained <= 3 * 8 * (m // 2 + 1) + 64 * 1024
         assert all(not {"power", "snr"} & vars(r).keys() for r in reports)
 
@@ -401,12 +399,7 @@ class TestRatioCheckHalf:
         base = spectrum_base(ind)
         transformed = spectrum_transformed(apply_representation(ind, rep))
         snr_ratio_check(ind, rep, base=base, transformed=transformed)  # imports done before tracing
-        tracemalloc.start()
-        try:
-            check = snr_ratio_check(ind, rep, base=base, transformed=transformed)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        check, retained, _ = traced(snr_ratio_check, ind, rep, base=base, transformed=transformed)
         assert check.checked_bins == m - 1
         assert retained <= 8 * (m // 2 + 1) + 16 * 1024
 
