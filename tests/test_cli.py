@@ -194,6 +194,10 @@ class TestCompare:
         assert ratio["theoretical"] == pytest.approx(1.0)
         assert ratio["measured"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_too_few_representations_rejected_before_input_is_read(self):
+        code, out, err = run_main(["compare", "--rep", "base"], b"\xff\xfeACGT")
+        assert (code, out, err) == (2, "", "symspec: error: compare needs at least two --rep selections\n")
+
     def test_csv_fields(self):
         code, out, _ = run_main(
             ["compare", "--alphabet", "ACGT", "--rep", "base", "--rep", "zcurve",
@@ -232,6 +236,10 @@ class TestVerify:
         assert "vacuous (no nonzero base bins)" in out
         assert "result: PASS" in out
 
+    def test_csv_format_rejected_before_input_is_read(self):
+        code, out, err = run_main(["verify", "--format", "csv"], b"\xff\xfeACGT")
+        assert (code, out, err) == (2, "", "symspec: error: verify supports --format text or json\n")
+
     def test_json_runs_are_identical(self):
         argv = ["verify", "--random", "4", "--seed", "7", "--format", "json"]
         code1, out1, _ = run_main(argv)
@@ -254,6 +262,12 @@ class TestVerify:
     def test_flags_for_the_other_mode_are_rejected_before_input_is_read(self, flags, message):
         code, out, err = run_main(["verify", *flags], b"\xff\xfeACGT")
         assert (code, out, err) == (2, "", f"symspec: error: {message}\n")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_nonpositive_random_count(self, count):
+        code, out, err = run_main(["verify", "--random", count], ">x\nACGT\n")
+        assert (code, out) == (2, "")
+        assert "positive count" in err
 
     def test_rejects_negative_seed_before_drawing(self, monkeypatch):
         monkeypatch.setattr(cli, "random_sequence", None)  # any draw would raise TypeError
