@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -59,6 +60,7 @@ from .sequences import (
     Alphabet,
     SequenceError,
     SymbolicSequence,
+    _fold,
     default_alphabet,
     parse_fasta,
     random_sequence,
@@ -259,7 +261,10 @@ def _check(args) -> None:
     if args.alphabet not in (None, "auto") and any(map(str.isspace, args.alphabet)):
         # parse_fasta strips whitespace from every record, so no input holds such a symbol.
         raise ValueError(f"--alphabet {args.alphabet!r} has whitespace, which is never a symbol")
-    args.alphabet = None if args.alphabet in (None, "auto") else Alphabet(tuple(args.alphabet.upper()))
+    if args.alphabet in (None, "auto"):
+        args.alphabet = None
+    else:  # folded as input text is, so a symbol whose upper case is longer is refused as written
+        args.alphabet = Alphabet(_fold(args.alphabet, f" of --alphabet {args.alphabet!r}"))
     if args.command == "spectrum" and len(reps) > 1:
         raise ValueError("spectrum needs exactly one --rep selection")
     if args.command == "verify" and "base" in reps:
@@ -814,11 +819,18 @@ def main(argv=None) -> int:
 def entry() -> None:
     """``python -m symspec`` and the ``symspec`` script: main() in a tuned process.
 
+    The heap that the imports built is frozen before main() runs, so the
+    collector's passes, its last one at exit included, skip it and the
+    process does not pay to take it apart; the OS takes that memory back
+    when the process ends. Everything main() creates is still collected
+    and finalized as usual.
+
     When the reader of the output goes away, it ends quietly with status 1,
     as Python's recipe for SIGPIPE does: stdout is pointed at devnull, so
     the flush at exit raises nothing.
     """
     _tune_malloc()
+    gc.freeze()
     try:
         status = main()
         sys.stdout.flush()

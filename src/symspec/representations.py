@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolicSequence, _read_only_codes
+from .sequences import Alphabet, SequenceError, SymbolicSequence, _fold, _read_only_codes
 
 __all__ = [
     "MatrixError",
@@ -439,10 +439,15 @@ def matrix_from_dict(obj: dict) -> RepresentationMatrix:
     order = obj.get("alphabet_order")
     if order:
         try:
-            # Sequences are case-folded to upper, so the column symbols are too.
-            order = tuple(s.upper() if isinstance(s, str) else s for s in order)
+            order = tuple(order)
         except TypeError:
             raise MatrixError("'alphabet_order' must be a list of symbols") from None
+        if all(isinstance(s, str) and len(s) == 1 for s in order):  # else refused as not single characters
+            # Sequences are case-folded to upper, so the column symbols are too, by the same rule.
+            try:
+                order = tuple(_fold("".join(order), " of alphabet_order"))
+            except SequenceError as exc:
+                raise MatrixError(str(exc)) from None
     rep = validate_row_orthogonal(
         rows,
         alphabet_order=order or None,

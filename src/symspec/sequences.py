@@ -204,23 +204,29 @@ def sequence_from_string(text: str, alphabet: Alphabet, id: str | None = None) -
     """
     if not text:
         raise SequenceError("empty sequence")
-    return _encode(_fold(text, id), alphabet, id)
+    return _encode(_fold(text, _of_record(id)), alphabet, id)
 
 
-def _fold(body: str, id: str | None) -> str:
-    """*body* upper-cased, one character for one character.
+def _of_record(id: str | None) -> str:
+    """Where a position lies, as error messages put it after the position."""
+    return f" of record {id!r}" if id else ""
+
+
+def _fold(text: str, where: str) -> str:
+    """*text* upper-cased, one character for one character: the one case
+    rule for sequence text, --alphabet and matrix column symbols.
 
     A character whose upper case is longer (``'ß'`` is ``'SS'``) would
-    lengthen the sequence, so it is refused, named as written. Upper-casing
-    never shortens text, so one length comparison tells.
+    lengthen the text, so it is refused, named as written, *where* saying
+    what its position is in. Upper-casing never shortens text, so one
+    length comparison tells.
     """
-    folded = body.upper()
-    if len(folded) != len(body):
-        pos = next(i for i, ch in enumerate(body) if len(ch.upper()) != 1)
-        where = f" of record {id!r}" if id else ""
+    folded = text.upper()
+    if len(folded) != len(text):
+        pos = next(i for i, ch in enumerate(text) if len(ch.upper()) != 1)
         raise SequenceError(
-            f"character {body[pos]!r} at position {pos + 1}{where} upper-cases to "
-            f"{body[pos].upper()!r}, not one character"
+            f"character {text[pos]!r} at position {pos + 1}{where} upper-cases to "
+            f"{text[pos].upper()!r}, not one character"
         )
     return folded
 
@@ -246,9 +252,8 @@ def _encode(folded: str, alphabet: Alphabet, id: str | None) -> SymbolicSequence
             bad &= points != alphabet._points[off]
         if bad.any():
             pos = int(np.argmax(bad))
-            where = f" of record {id!r}" if id else ""
             raise SequenceError(
-                f"character {folded[pos]!r} at position {pos + 1}{where} is not in alphabet {alphabet}"
+                f"character {folded[pos]!r} at position {pos + 1}{_of_record(id)} is not in alphabet {alphabet}"
             )
     codes.setflags(write=False)  # a fresh array: the sequence keeps it, uncopied
     return SymbolicSequence(alphabet, codes, id=id)
@@ -292,9 +297,8 @@ def _infer_alphabet(records: list[tuple[str | None, str]]) -> Alphabet:
             hits = [pos for pos in map(body.find, _MARKERS) if pos >= 0]
             if hits:
                 pos = min(hits)
-                where = f" of record {rid!r}" if rid else ""
                 raise SequenceError(
-                    f"character {body[pos]!r} at position {pos + 1}{where} marks a "
+                    f"character {body[pos]!r} at position {pos + 1}{_of_record(rid)} marks a "
                     "FASTA header or comment and is never inferred as a symbol"
                 )
     return Alphabet(tuple(sorted(seen)))
@@ -316,7 +320,7 @@ def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSeq
         if not body:
             where = f" (record {rid!r})" if rid else ""
             raise SequenceError(f"empty sequence{where}")
-        cleaned.append((rid, _fold(body, rid)))
+        cleaned.append((rid, _fold(body, _of_record(rid))))
     if alphabet is None:
         alphabet = _infer_alphabet(cleaned)
     return [_encode(body, alphabet, rid) for rid, body in cleaned]
@@ -341,8 +345,9 @@ def to_fasta(seqs: SymbolicSequence | Iterable[SymbolicSequence], width: int = 6
         hits = [pos for pos in map(s.find, unreadable) if pos >= 0]
         if hits:
             pos = min(hits)
-            where = f" of record {seq.id!r}" if seq.id else ""
-            raise SequenceError(f"symbol {s[pos]!r} at position {pos + 1}{where} does not read back from FASTA")
+            raise SequenceError(
+                f"symbol {s[pos]!r} at position {pos + 1}{_of_record(seq.id)} does not read back from FASTA"
+            )
         lines.append(">" + (seq.id or ""))
         lines.extend(s[i : i + width] for i in range(0, len(s), width))
     return "\n".join(lines) + "\n"

@@ -80,12 +80,14 @@ BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 # batch is one row; at verify's m <= 2000, one batch holds every row of a
 # record (13 for DNA with three transforms, 39 for protein with Helmert).
 # Measured with numpy 2.4 at m = 1e6, glibc's malloc tuned as cli.entry()
-# tunes it: numpy builds a new rfft plan on every call, and a one-row call
-# took 16-19 ms against 12-13 ms per row in a two-row call, yet 2**21 (two
-# rows per call) raised the peak RSS of a three-rep DNA analyze
-# from 74 to 112 MB with no end-to-end speed-up. One row in flight holds
-# about 32 B/sample (the input, the half-length complex output, the plan's
-# twiddles and scratch); and a length with a large prime factor costs about
+# tunes it (medians of 15 calls): one rfft call took 19.8 ms on one row,
+# 26.0 ms on two and 44.6 ms on three. A third row costs as much as a lone
+# one, so pocketfft transforms rows two at a time; a plan built once per
+# call is not what a second row saves. Yet 2**21 (two rows per call) raised
+# the peak RSS of a three-rep DNA analyze from 74 to 112 MB with no
+# end-to-end speed-up. One row in flight holds about 32 B/sample (the
+# input, the half-length complex output, pocketfft's twiddles and
+# scratch); and a length with a large prime factor costs about
 # 18x the time and 5x the memory per row (m = 999 983: 310 ms and 153 MiB
 # in flight, against 17 ms and 31 MiB at m = 1e6).
 _BLOCK_BINS = 2**20

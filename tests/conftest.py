@@ -6,6 +6,7 @@ this process, ``run_child`` runs it as a ``python -m symspec`` child,
 bytes that ``tracemalloc`` sees during a call.
 """
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -43,8 +44,9 @@ def run_main(argv: list[str], stdin: str | bytes = "", entry: bool = False) -> t
     encoded) as the bytes of its standard input: (exit code, stdout, stderr).
 
     With *entry*, run ``cli.entry()``, the path of ``python -m symspec``,
-    with *argv* as its command line instead. It runs outside pytest too:
-    ``python tests/test_golden.py --write`` uses it.
+    with *argv* as its command line instead; the heap that it freezes is
+    unfrozen afterwards, so no caller is left with a frozen heap. It runs
+    outside pytest too: ``python tests/test_golden.py --write`` uses it.
     """
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, sys.argv
@@ -60,6 +62,8 @@ def run_main(argv: list[str], stdin: str | bytes = "", entry: bool = False) -> t
                     code = exc.code
     finally:
         sys.stdin, sys.argv = saved
+        if entry:
+            gc.unfreeze()
     return code, out.getvalue(), err.getvalue()
 
 

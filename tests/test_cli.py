@@ -1,6 +1,7 @@
 import ctypes
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -393,6 +394,14 @@ REFUSALS = {
     "verify-alphabet-whitespace": (["verify", "--alphabet", "AC GT"], _WHITESPACE.format("AC GT")),
     "analyze-alphabet-one-symbol": (["analyze", "--alphabet", "A"], "alphabet needs at least 2 symbols"),
     "verify-alphabet-repeated": (["verify", "--alphabet", "AaC"], "alphabet symbols 'AAC' are not distinct"),
+    "analyze-alphabet-longer-upper-case": (
+        ["analyze", "--alphabet", "\ufb01A", "--rep", "base"],
+        "character '\ufb01' at position 1 of --alphabet '\ufb01A' upper-cases to 'FI', not one character",
+    ),
+    "verify-alphabet-longer-upper-case": (
+        ["verify", "--alphabet", "AC\u00dfT"],
+        "character '\u00df' at position 3 of --alphabet 'AC\u00dfT' upper-cases to 'SS', not one character",
+    ),
     "spectrum-two-reps": (["spectrum", "--rep", "base", "--rep", "zcurve"], "spectrum needs exactly one --rep selection"),
     "verify-rep-base": (["verify", "--rep", "base"], _BASE_NOT_A_TRANSFORM),
     "verify-random-rep-base": (["verify", "--random", "1", "--rep", "base"], _BASE_NOT_A_TRANSFORM),
@@ -861,6 +870,14 @@ def libc(monkeypatch):
     return fake
 
 
+@pytest.fixture
+def freezes(monkeypatch, libc):
+    """``libc``, with a recorder in place of ``gc.freeze`` that logs each call
+    as ("freeze",) among the C library's calls: no test freezes the pytest heap."""
+    monkeypatch.setattr(gc, "freeze", lambda: libc.calls.append(("freeze",)))
+    return libc
+
+
 DNA_TEXT = ">x\nACGTTGCAACGGTTA\n"
 
 
@@ -924,10 +941,11 @@ class TestMallocTuning:
         assert ("malloc_trim", 0) not in libc.calls
 
     @pytest.mark.parametrize("key", list(COMMAND_ARGV))
-    def test_in_process_main_makes_no_call(self, libc, key):
+    def test_in_process_main_makes_no_call(self, freezes, key):
         code, _, err = run_main(COMMAND_ARGV[key], DNA_TEXT)
         assert code == 0, err
-        assert libc.calls == []
+        assert freezes.calls == []
+        assert gc.get_freeze_count() == 0
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc only")
     def test_entry_takes_under_half_the_page_faults(self, tmp_path):
@@ -948,6 +966,40 @@ class TestMallocTuning:
             outputs[name] = out_path.read_bytes()
         assert outputs["entry"] == outputs["main"]
         assert faults["entry"] < faults["main"] / 2, faults
+
+
+class TestHeapFreeze:
+    """``entry()`` freezes the heap that the imports built, once, after
+    tuning malloc and before main(); library use and an in-process main()
+    never freeze it."""
+
+    def test_entry_freezes_once_after_tuning_before_main(self, freezes, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(list(freezes.calls)) or 0)
+        assert run_main([], entry=True)[0] == 0
+        assert seen == [[("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20), ("freeze",)]]
+        assert freezes.calls == seen[0]
+
+    def test_only_entry_freezes_in_a_child(self):
+        """A plain import freezes nothing; a main() swapped in under entry()
+        runs on a frozen heap."""
+        probe = ("import gc; start = gc.get_freeze_count(); import symspec, symspec.cli as cli; "
+                 "print(start, gc.get_freeze_count()); cli.main = lambda: print(gc.get_freeze_count()) or 0; "
+                 "cli.entry()")
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        start, imported, in_main = map(int, proc.stdout.split())
+        assert imported == start == 0
+        assert in_main > 0
+
+    @pytest.mark.parametrize("argv", [["verify", "--random", "3", "--format", "json"], ["analyze", "--format", "csv"]],
+                             ids=["verify-json", "analyze-csv"])
+    def test_entry_process_under_dev_mode_warns_of_nothing(self, argv):
+        """Under -X dev a file or pipe that main() leaves open warns on
+        stderr, frozen heap or not."""
+        code, out, err = run_child(argv, DNA_TEXT, dev=True)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestReportsKeptForProfilesOnly:

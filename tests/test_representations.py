@@ -400,6 +400,15 @@ class TestMatrixJson:
             apply_representation(ind, build_tetrahedron()).channels,
         )
 
+    @pytest.mark.parametrize("symbol, upper", [("\u00df", "SS"), ("\ufb01", "FI")], ids=["sharp-s", "fi-ligature"])
+    def test_column_symbol_with_longer_upper_case_is_named(self, symbol, upper):
+        # Regression: refused as "alphabet_order symbols must be single
+        # characters", which the symbol as written is.
+        obj = {**matrix_to_dict(build_zcurve()), "alphabet_order": ["a", symbol, "g", "t"]}
+        message = f"character {symbol!r} at position 2 of alphabet_order upper-cases to {upper!r}, not one character"
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            matrix_from_dict(obj)
+
     # Regression: the first three escaped as TypeError (a traceback and exit 1
     # in the CLI), the last three as ValueError with numpy's text.
     @pytest.mark.parametrize("field, value, message", [
