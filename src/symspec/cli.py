@@ -11,11 +11,12 @@ analyze, compare and spectrum run their record through one path,
 ``_spectra``: indicators, the base spectrum when a check or the base needs
 it, then each representation's spectrum, its total check, which also
 judges overflow (``_finite``), and, unless only the profile is wanted, its
-SNR-ratio check. verify needs no report: it binds each transform's table
-to the run's alphabet once, and takes each record's checks, the same bit
-for bit, from ``spectral.check_record``, one pass of the spectral kernel
-over the base's and every transform's rows. A representation passes when
-both of its checks pass (``_passed``).
+SNR-ratio check. verify needs no report: it binds what is fixed per
+command once (each transform's table for the run's alphabet, each name's
+JSON text), and takes each record's checks, the same bit for bit, from
+the step that ``spectral.check_record`` wraps: one pass of the spectral
+kernel over the base's and every transform's rows, and a few array steps.
+A representation passes when both of its checks pass, in every command.
 
 Each command renders its report as text pieces, lines of a text report or
 pieces of a JSON or CSV one, and hands them to ``_write``, the one writer,
@@ -25,7 +26,7 @@ in blocks of rows or items, never as one string; their bytes are those of
 ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
 k = 1 .. m//2 of each column are formatted and the strings mirrored.
 ``verify`` holds one record at a time: each is rendered, to its text line
-or its JSON item (from a fixed layout, ``_verify_item``), as soon as its
+or its JSON item (from a fixed layout, ``_verify_items``), as soon as its
 checks finish, and only those strings are kept until they are written,
 one piece each.
 """
@@ -349,7 +350,8 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
     base = spectral.spectrum_base(ind) if checks or None in reps.values() else None
     for name, rep in reps.items():
         report = base if rep is None else spectral.spectrum_transformed(apply_representation(ind, rep))
-        total = _finite(name, seq.m, spectral.verify_total_spectrum(ind, report=report))
+        total = spectral.verify_total_spectrum(ind, report=report)
+        _finite([name], seq.m, [(total.expected, total.measured)])
         ratio = None
         if checks:
             ratio = _ratio(None if rep is None else spectral.snr_ratio_check(ind, rep, base=base, transformed=report),
@@ -358,16 +360,12 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
         del report  # not held while the next spectrum is computed
 
 
-def _finite(name: str, m: int, total: spectral.TotalSpectrumCheck) -> spectral.TotalSpectrumCheck:
-    """*total*, unless its expected or measured total is not a finite float: that is an error."""
-    if not (math.isfinite(total.expected) and math.isfinite(total.measured)):
-        raise ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
-    return total
-
-
-def _passed(total: spectral.TotalSpectrumCheck, ratio: dict) -> bool:
-    """One representation's verdict: its total spectrum and its SNR ratios pass."""
-    return total.passed() and ratio["pass"]
+def _finite(names, m: int, totals) -> None:
+    """Raise for the first of *names* whose total, in *totals* one
+    (expected, measured, ...) per name, is not a finite float."""
+    for name, (expected, measured, *_) in zip(names, totals):
+        if not (math.isfinite(expected) and math.isfinite(measured)):
+            raise ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
 
 
 def _ratio(rc: spectral.RatioCheck | None, m: int) -> dict:
@@ -420,7 +418,7 @@ def _analyses(args, rep_names, keep_reports: bool = False):
             },
         }
         by_name[rep_name] = (entry, report if keep_reports else None)
-        passed.append(_passed(total, ratio))
+        passed.append(total.passed() and ratio["pass"])
         del report  # not held while the next spectrum is computed
 
     notes = [_TOTALS_NOTE]
@@ -638,12 +636,13 @@ def cmd_compare(args) -> int:
 
 
 _JSON_BOOL = ("false", "true")
+_json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 # A verify record as json.dumps(item, indent=2, sort_keys=True) writes it at
 # depth 2 of the report, with each SNR-ratio entry at depth 4.
 _VERIFY_ITEM = """{
       "id": %s,
-      "m": %d,
+      "m": %s,
       "snr_ratio": [
         %s
       ],
@@ -655,46 +654,48 @@ _VERIFY_ITEM = """{
       }
     }"""
 _VERIFY_RATIO = """{
-          "checked_bins": %d,
+          "checked_bins": %s,
           "expected": %s,
           "max_dev": %s,
           "pass": %s,
           "representation": %s,
-          "skipped_bins": %d,
+          "skipped_bins": %s,
           "vacuous": %s
         }"""
 
 
-def _verify_item(record: str, m: int, tot: spectral.TotalSpectrumCheck, ratios) -> str:
-    """A verify record, from the fixed layout, without json.dumps' pure-Python encoder.
+def _verify_items(names, expected: float):
+    """The renderer of verify's JSON items, with SNR-ratio entries named
+    *names* in turn, each expecting the ratio *expected*: what is fixed per
+    command is written into the layout once.
 
-    *tot* is the record's base total check, and *ratios* holds at least
-    one (name, ratio fields) row. The bytes are those of ``json.dumps(item,
-    indent=2, sort_keys=True)`` at depth 2 for the item {"id": record,
-    "m": m, "total_spectrum": {**vars(tot), "pass": tot.passed()},
-    "snr_ratio": [{"representation": name, **fields}, ...]}.
+    ``item(record, m, total, ratios)`` writes, without json.dumps'
+    pure-Python encoder, the bytes of ``json.dumps(item, indent=2,
+    sort_keys=True)`` at depth 2 for the item {"id": record, "m": m,
+    "total_spectrum": {"expected", "measured", "relative_error", "pass"},
+    "snr_ratio": [{"representation": name, "expected": expected,
+    "checked_bins", "max_dev", "pass", "skipped_bins", "vacuous"}, ...]}.
+    *total* holds the base total's four values in that order, and *ratios*
+    one (checked_bins, max_dev, pass, skipped_bins, vacuous) per name, a
+    max_dev of None written as null.
     """
-    rows = ",\n        ".join(
-        _VERIFY_RATIO % (
-            r["checked_bins"],
-            _json_float(r["expected"]),
-            "null" if r["max_dev"] is None else _json_float(r["max_dev"]),
-            _JSON_BOOL[r["pass"]],
-            json.dumps(name),
-            r["skipped_bins"],
-            _JSON_BOOL[r["vacuous"]],
-        )
-        for name, r in ratios
-    )
-    return _VERIFY_ITEM % (
-        json.dumps(record),
-        m,
-        rows,
-        _json_float(tot.expected),
-        _json_float(tot.measured),
-        _JSON_BOOL[tot.passed()],
-        _json_float(tot.relative_error),
-    )
+    slot = "%s"  # left in the layout for each record's values
+    fixed = _json_float(expected)
+    rows = ",\n        ".join(_VERIFY_RATIO % (slot, fixed, slot, slot, json.dumps(name).replace("%", "%%"), slot, slot)
+                               for name in names)
+    layout = _VERIFY_ITEM % (slot, slot, rows, slot, slot, slot, slot)
+
+    def item(record: str, m: int, total, ratios) -> str:
+        expected, measured, error, passed = total
+        floats = [expected, measured, error, *[dev for _, dev, *_ in ratios if dev is not None]]
+        # Finite floats as json.dumps writes them: their repr; else its NaN or Infinity.
+        fmt = float.__repr__ if all(map(math.isfinite, floats)) else _json_float
+        fields = [text for checked, dev, ok, skipped, vacuous in ratios
+                  for text in (checked, "null" if dev is None else fmt(dev), _JSON_BOOL[ok], skipped,
+                               _JSON_BOOL[vacuous])]
+        return layout % (_json_string(record), m, *fields, fmt(expected), fmt(measured), _JSON_BOOL[passed], fmt(error))
+
+    return item
 
 
 def cmd_verify(args) -> int:
@@ -718,35 +719,49 @@ def cmd_verify(args) -> int:
     if not rep_names:
         is_dna = set(alphabet.symbols) == set("ACGT")
         rep_names = ["zcurve", "tetrahedron", "helmert"] if is_dna else ["helmert"]
-    # A repeated --rep once; each transform's table bound once to the run's one alphabet.
+    # What is fixed per command, bound once: each transform's table for the run's
+    # one alphabet, once however often --rep names it, and its identity total over
+    # m^2; where each name's checks are, and each record's JSON layout.
     reps = {name: _resolve_rep(name, alphabet) for name in rep_names}
-    transforms = [(alphabet_table(rep, alphabet), rep.d) for rep in reps.values()]
+    tables = [alphabet_table(rep, alphabet) for rep in reps.values()]
+    T = alphabet.size
+    factors = np.array([1.0, *(spectral._total_factor(T, rep.d) for rep in reps.values())])
+    names = ["base", *reps]
+    at = [names.index(name) for name in rep_names]
+    expected_ratio = T / (T - 1.0)
+    item = _verify_items(rep_names, expected_ratio)
 
     # Each record's JSON item or text line, rendered as soon as its checks finish.
     rendered, n_pass = [], 0
     for i, seq in enumerate(seqs):
-        checks = spectral.check_record(build_indicators(seq), transforms)
-        tot, results = _finite("base", seq.m, next(checks)), {}
-        for name in reps:
-            total, rc = next(checks)
-            results[name] = _finite(name, seq.m, total), _ratio(rc, seq.m)
-            del rc  # not held while the next table is computed
-        n_pass += tot.passed() and all(_passed(*result) for result in results.values())
+        # Per table, (expected, measured, relative error) of its total; per transform after
+        # the base's None, its ratios as the JSON item lists them (_verify_items).
+        totals, ratios = [], [None]
+        for measured, expected, errors, checks in spectral._record_checks(build_indicators(seq), tables, factors,
+                                                                           expected_ratio):
+            block = list(zip(expected.tolist(), measured.tolist(), errors.tolist()))
+            _finite(names[len(totals) :], seq.m, block)
+            totals += block
+            ratios += [(rc.checked_bins, None if rc.vacuous else rc.max_deviation, rc.passed(), rc.skipped_bins,
+                        rc.vacuous) for rc in checks]
+            del checks  # not held while the next tables are computed
+        ok = [error <= tol for _, _, error in totals]  # each total's verdict, as TotalSpectrumCheck.passed()
+        n_pass += all(ok) and all([ratio[2] for ratio in ratios[1:]])
         record = seq.id or f"record-{i:03d}"
         if args.format == "json":
-            rendered.append(_verify_item(record, seq.m, tot, [(name, results[name][1]) for name in rep_names]))
-        else:
-            parts = [f"total-spectrum {_passfail(tot.passed())} (rel err {tot.relative_error:.3g})"]
-            for name in rep_names:
-                total, sr = results[name]
-                if sr["vacuous"] and total.passed():
-                    parts.append(f"{name} PASS vacuous (no nonzero base bins)")
-                    continue
-                detail = "vacuous: no nonzero base bins" if sr["vacuous"] else f"max dev {sr['max_dev']:.3g}"
-                if not total.passed():
-                    detail = f"total rel err {total.relative_error:.3g}, {detail}"
-                parts.append(f"{name} {_passfail(_passed(total, sr))} ({detail})")
-            rendered.append(f"{record} (m = {seq.m}): " + " | ".join(parts))
+            rendered.append(item(record, seq.m, (*totals[0], ok[0]), [ratios[u] for u in at]))
+            continue
+        vacuous = ratios[-1][4]  # the bins checked are the base's, the same for each transform
+        parts = [f"total-spectrum {_passfail(ok[0])} (rel err {totals[0][2]:.3g})"]
+        for name, u in zip(rep_names, at):
+            if vacuous and ok[u]:
+                parts.append(f"{name} PASS vacuous (no nonzero base bins)")
+                continue
+            detail = "vacuous: no nonzero base bins" if vacuous else f"max dev {ratios[u][1]:.3g}"
+            if not ok[u]:
+                detail = f"total rel err {totals[u][2]:.3g}, {detail}"
+            parts.append(f"{name} {_passfail(ok[u] and ratios[u][2])} ({detail})")
+        rendered.append(f"{record} (m = {seq.m}): " + " | ".join(parts))
 
     all_pass = n_pass == count
 

@@ -87,7 +87,7 @@ def _checked_codes(codes, size: int) -> np.ndarray:
     codes = _read_only_codes(codes)
     if codes.ndim != 1 or codes.size < 1:
         raise MatrixError("codes must be a non-empty 1-D array")
-    if codes.min() < 0 or codes.max() >= size:
+    if np.minimum.reduce(codes) < 0 or np.maximum.reduce(codes) >= size:  # min(), max(), minus their wrappers
         raise MatrixError(f"codes must lie in 0..{size - 1}")
     return codes
 

@@ -112,7 +112,7 @@ class Alphabet:
         lookup.setflags(write=False)
         return lookup
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.symbols)
 
@@ -169,7 +169,8 @@ class SymbolicSequence:
             raise SequenceError("sequence codes must be 1-D")
         if codes.size == 0:
             raise SequenceError("empty sequence")
-        if codes.min() < 0 or codes.max() >= self.alphabet.size:
+        # min() and max(), without their Python wrappers
+        if np.minimum.reduce(codes) < 0 or np.maximum.reduce(codes) >= self.alphabet.size:
             raise SequenceError("sequence codes fall outside the alphabet range")
         object.__setattr__(self, "codes", codes)
 

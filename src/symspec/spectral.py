@@ -29,11 +29,13 @@ transform in alphabet column order for the channels. Reports and
 codes)``, which takes the rows of several tables in order, gathers a few
 rows of ``table[:, codes]`` at a time (a batch may span tables), runs one
 real-input FFT per batch and adds each row's power into its table's
-running sum; no dense T x m array is ever held. Real rows give
-P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2 only: its
-``power`` and ``snr`` are mirrored from them on first access, and the
-checks and lookups here read the half. A ``RatioCheck`` likewise stores
-its ratios at k = 0 .. m//2 and mirrors ``ratios`` on access.
+running sum; no dense T x m array is ever held. After each batch it
+hands over the tables that batch finished as one array, one row each, so
+``check_record`` checks all the tables of a small record together. Real
+rows give P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2
+only: its ``power`` and ``snr`` are mirrored from them on first access,
+and the checks and lookups here read the half. A ``RatioCheck`` likewise
+stores its ratios at k = 0 .. m//2 and mirrors ``ratios`` on access.
 A power or total that overflows float64 is judged by its total check,
 at every entry point: the kernel's sums, the total and the ratios are
 computed with numpy's warnings for it silenced, so the check holds a
@@ -45,6 +47,7 @@ bin.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -167,16 +170,20 @@ class SpectrumReport:
 
 
 def _mirror(half: np.ndarray, m: int) -> np.ndarray:
-    """Bins k = 0 .. m-1, read-only, from bins 0 .. m//2: bin k > m//2 is bin m - k."""
-    full = np.empty(m)
-    full[: half.size] = half
-    full[half.size :] = half[m - half.size : 0 : -1]
+    """Bins k = 0 .. m-1, read-only, from bins 0 .. m//2 (along the last
+    axis, row by row): bin k > m//2 is bin m - k."""
+    h = half.shape[-1]
+    full = np.empty((*half.shape[:-1], m))
+    full[..., :h] = half
+    full[..., h:] = half[..., m - h : 0 : -1]
     full.setflags(write=False)
     return full
 
 
 def _powers(tables, codes: np.ndarray):
-    """Yield sum_l |DFT(table[l, codes])(k)|^2 at k = 0 .. m//2 for each table in turn.
+    """Yield the half powers sum_l |DFT(table[l, codes])(k)|^2, k = 0 .. m//2,
+    of the tables, in order: after each batch that finishes tables, one
+    array with one row per table it finished.
 
     Row l of a table's signal is its row l gathered at the codes: the
     identity table gives the indicator rows, a transform's table (columns in
@@ -188,8 +195,10 @@ def _powers(tables, codes: np.ndarray):
     the dense rows nor all the tables joined are ever held.
     ``np.take`` widens one-byte codes to intp on each call: at m = 1e6
     about 0.6 ms and 8 B/symbol for the length of the gather, against some
-    25 ms for the row's rfft. A table's half power is yielded once its last
-    row has been summed and the batch has been dropped, and is not kept.
+    25 ms for the row's rfft. A record of a few thousand bins is one batch
+    and one yield; at large m each yield is one table, its running sum
+    itself. A yielded array is handed over once the batch has been
+    dropped, and is not kept.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
     power: P(k) = P(m - k) for the rest. Each table's row powers go into one
@@ -198,57 +207,64 @@ def _powers(tables, codes: np.ndarray):
     batch size and whatever the other tables.
     """
     m = codes.size
-    ends = list(accumulate(table.shape[0] for table in tables))  # past each table's last row
+    ends = list(accumulate([table.shape[0] for table in tables]))  # past each table's last row
     starts = [0, *ends[:-1]]
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
-    t, half, done = 0, None, []
+    t, sums = 0, None  # the running sums of tables t .. , one row each
     for first in range(0, ends[-1], batch):
-        # A table's running sum is allocated before the batch's arrays: after
-        # them, it raised the peak RSS of analyze at m = 1e6 by 4 MB.
-        if half is None:
-            half = np.zeros(m // 2 + 1)
         stop = min(first + batch, ends[-1])
+        u = bisect_left(ends, stop)  # the batch's last table
+        # The running sums are allocated before the batch's arrays: after them,
+        # they raised the peak RSS of analyze at m = 1e6 by 4 MB. Table t's, if
+        # an earlier batch began it, is continued in place while it is the
+        # batch's one table.
+        begun = None if sums is None else sums[0]
+        if sums is None or u > t:
+            sums = np.zeros((u - t + 1, m // 2 + 1))
         # The batch's rows, sliced from the tables it spans (table t first): the
         # tables are never joined whole, so a T x T identity costs only its batch.
-        rows = [tables[u][max(first - starts[u], 0) : stop - starts[u]]
-                for u in range(t, len(tables)) if starts[u] < stop]
-        spectra = np.fft.rfft(np.take(rows[0] if len(rows) == 1 else np.concatenate(rows), codes, axis=1), axis=1)
+        rows = [tables[v][first - starts[v] if v == t else 0 : stop - starts[v]] for v in range(t, u + 1)]
+        spectra = np.fft.rfft((rows[0] if u == t else np.concatenate(rows)).take(codes, axis=1), axis=1)
         with np.errstate(over="ignore"):  # judged by the total check; never across a yield, which would leak it
             power = spectra.real**2
             power += spectra.imag**2
             del spectra
             lo = first
-            while lo < stop:  # the batch's rows of table t, then of the next
-                hi = min(ends[t], stop)
+            for r, hi in enumerate([*ends[t:u], stop]):  # the batch's rows of table t, then of the next
                 block = power[lo - first : hi - first]
-                block[0] += half  # so the sum below continues the table's running sum
-                block.sum(axis=0, out=half)
-                if hi == ends[t]:  # table t is done; the next starts in this batch or the next one
-                    done.append(half)
-                    t, half = t + 1, np.zeros(m // 2 + 1) if hi < stop else None
+                if r == 0 and begun is not None:
+                    block[0] += begun  # so the sum below continues the table's running sum
+                np.add.reduce(block, axis=0, out=sums[r])
                 lo = hi
-        del power, block  # before the finished tables are handed over
-        while done:
-            yield done.pop(0)
+        del power, block, begun  # before the finished tables are handed over
+        if ends[u] == stop:  # every table of the batch is done
+            done, sums, t = [sums], None, u + 1
+        elif u > t:  # all but the last, which the next batch continues
+            done, sums, t = [sums[:-1]], sums[-1:].copy(), u
+        else:
+            continue
+        yield done.pop()
 
 
-def _total(half: np.ndarray, m: int) -> float:
-    """The total power, summed over all m bins: a weighted sum of the half changes the last bits."""
-    with np.errstate(over="ignore"):  # an overflowing total is judged by its total check
-        return float(np.sum(_mirror(half, m)))
+def _totals(halves: np.ndarray, m: int) -> np.ndarray:
+    """The total power of each row of half powers, summed over all m bins: a
+    weighted sum of the half changes the last bits. Overflow is left to the
+    caller's errstate, as an overflowing total is judged by its total check."""
+    return np.add.reduce(_mirror(halves, m), axis=-1)
 
 
 def _report(name: str, size: int, d: float | None, table: np.ndarray, codes: np.ndarray) -> SpectrumReport:
-    (half_power,) = _powers([table], codes)
-    half_power.setflags(write=False)  # kept by the report as it is
+    (halves,) = _powers([table], codes)
+    halves.setflags(write=False)  # kept by the report as it is
     m = codes.size
-    total = _total(half_power, m)
+    with np.errstate(over="ignore"):
+        (total,) = _totals(halves, m).tolist()
     return SpectrumReport(
         representation=name,
         m=m,
         alphabet_size=size,
         d=d,
-        half_power=half_power,
+        half_power=halves[0],
         total=total,
         mean_noise=total / m,
     )
@@ -308,10 +324,24 @@ def verify_total_spectrum(
     return _total_check(ind.m, ind.alphabet.size, report.d, report.total)
 
 
+def _total_factor(T: int, d: float | None) -> float:
+    """The identity total over m^2: 1 for the base (d None), d^2 (T-1)/T for a transform."""
+    return 1.0 if d is None else d**2 * (T - 1) / T
+
+
+def _total_errors(factors: np.ndarray, m: int, measured: np.ndarray):
+    """The identity totals, *factors* times m^2, and the relative errors of
+    the *measured* totals against them. Overflow and inf - inf are left to
+    the caller's errstate: a total that is not finite fails its check."""
+    expected = factors * float(m) ** 2
+    return expected, np.abs(measured - expected) / expected
+
+
 def _total_check(m: int, T: int, d: float | None, measured: float) -> TotalSpectrumCheck:
     """*measured* against the identity: m^2 for the base (d None), d^2 (T-1)/T m^2 for a transform."""
-    expected = float(m) ** 2 if d is None else d**2 * (T - 1) / T * float(m) ** 2
-    return TotalSpectrumCheck(expected=expected, measured=measured, relative_error=abs(measured - expected) / expected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, error = _total_errors(np.array([_total_factor(T, d)]), m, np.array([measured]))
+    return TotalSpectrumCheck(expected=float(expected[0]), measured=measured, relative_error=float(error[0]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -371,29 +401,75 @@ def snr_ratio_check(
         transformed = spectrum_transformed(apply_representation(ind, rep))
     else:
         _require_match(transformed, ind, "transformed")
-    return _ratio_check(ind.alphabet.size, ind.m, base.half_power, base.mean_noise,
-                        transformed.half_power, transformed.mean_noise)
+    snr = base.half_power / base.mean_noise
+    mask, checked = _checked_bins(snr, ind.m)
+    T = ind.alphabet.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (check,) = _ratio_check(T / (T - 1.0), ind.m, snr, mask, checked,
+                                transformed.half_power[np.newaxis], np.array([transformed.mean_noise]))
+    return check
 
 
-def _ratio_check(T: int, m: int, base_half, base_noise: float, half, noise: float) -> RatioCheck:
-    """The SNR ratios of half power *half* (mean noise *noise*) against the base's, at k = 0 .. m//2."""
-    expected = T / (T - 1.0)
-    base_snr = base_half / base_noise
-    mask = base_snr > BASE_SNR_FLOOR
+def _checked_bins(snr: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The bins of the base SNR *snr* (k = 0 .. m//2) that ratios are
+    checked at, and how many of the bins k = 1 .. m-1 they stand for."""
+    mask = snr > BASE_SNR_FLOOR
     mask[0] = False  # k = 0 has no SNR; bin k < m/2 is counted for m - k too
-    ratios = np.full(mask.size, np.nan)
-    with np.errstate(invalid="ignore"):  # inf / inf where a power overflowed: judged by the total check
-        ratios[mask] = (half[mask] / noise) / base_snr[mask]
-    checked = 2 * int(np.count_nonzero(mask)) - int(m % 2 == 0 and mask[-1])
-    max_dev = float(np.max(np.abs(ratios[mask] - expected))) if checked else math.nan
-    ratios.setflags(write=False)  # kept by the result as it is
-    return RatioCheck(
-        expected=expected,
-        half_ratios=ratios,
-        max_deviation=max_dev,
-        checked_bins=checked,
-        skipped_bins=m - 1 - checked,
-    )
+    return mask, 2 * int(np.add.reduce(mask)) - int(m % 2 == 0 and mask[-1])
+
+
+def _ratio_check(expected: float, m: int, snr, mask, checked: int, halves, noises) -> list[RatioCheck]:
+    """The SNR-ratio check of each row of half powers *halves* (mean noise
+    *noises*) against the base SNR *snr*, at the *checked* bins *mask* picks
+    (``_checked_bins``), against the ratio *expected*, T/(T-1): all from one
+    block, each check's ``half_ratios`` a read-only row of it. The bins
+    it skips are divided too, then set to NaN, and an inf / inf where a
+    power overflowed is judged by the total check: the caller's errstate
+    silences both."""
+    ratios = halves / noises[:, np.newaxis]
+    ratios /= snr  # in place, bin by bin (half / noise) / snr
+    ratios[:, ~mask] = np.nan
+    if checked:
+        devs = ratios - expected
+        devs = np.maximum.reduce(np.abs(devs, out=devs), axis=1, where=mask, initial=-np.inf).tolist()
+    else:
+        devs = [math.nan] * len(ratios)
+    ratios.setflags(write=False)  # kept by the results as it is
+    return [RatioCheck(expected, row, dev, checked, m - 1 - checked) for row, dev in zip(ratios, devs)]
+
+
+def _record_checks(ind: IndicatorMatrix, tables, factors: np.ndarray, expected_ratio: float):
+    """The checks of one record, stacked, from one ``_powers`` pass over the
+    base's and each transform table's rows.
+
+    *tables* are (T-1) x T tables that fit the record, *factors* the
+    identity totals over m^2 (``_total_factor``) of the base and of each
+    table, and *expected_ratio* is T/(T-1). For each array of half powers
+    that the kernel hands over, yields its tables' measured totals,
+    identity totals and relative errors, as arrays, then the
+    ``RatioCheck`` of each of them that is a transform. The base SNR, its
+    mask and its bin counts are computed once, the SNR in place of the base
+    half, which is kept until the last ratio; every other half is dropped
+    once its block's checks are made.
+    """
+    m, i, snr = ind.m, 0, None
+    for halves in _powers([ind.table, *tables], ind.codes):
+        n = halves.shape[0]
+        # A total that is not finite fails its check; a skipped ratio bin is overwritten.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            measured = _totals(halves, m)
+            expected, errors = _total_errors(factors[i : i + n], m, measured)
+            if snr is None:  # the base, whose SNR takes its half's place
+                snr = halves[0]
+                snr /= measured[0] / m
+                mask, checked = _checked_bins(snr, m)
+                halves = halves[1:]
+            ratios = _ratio_check(expected_ratio, m, snr, mask, checked, halves, measured[n - halves.shape[0] :] / m)
+        i += n
+        del halves  # not held while the next tables are computed
+        if i == factors.size:
+            del snr, mask  # the last ratio is done
+        yield measured, expected, errors, ratios
 
 
 def check_record(ind: IndicatorMatrix, transforms):
@@ -407,27 +483,24 @@ def check_record(ind: IndicatorMatrix, transforms):
     ``snr_ratio_check`` on ``spectrum_base`` and ``spectrum_transformed``.
 
     All the record's tables go through one ``_powers`` pass, so while its
-    rows fit one batch that is one ``np.take`` and one ``rfft``. Only the
-    base half power is kept, until the last ratio; each transform's half is
-    dropped once its checks are made. A table that is not (T-1) x T for
-    the record's T is refused with ``MatrixError`` before any FFT.
+    rows fit one batch that is one ``np.take`` and one ``rfft``, and the
+    checks are a few array steps over all its tables at once
+    (``_record_checks``). Where tables span batches, only the base half is
+    kept until the last ratio, and each transform's half only until its
+    checks are made. A table that is not (T-1) x T for the record's T is
+    refused with ``MatrixError`` before any FFT.
     """
-    T, m = ind.alphabet.size, ind.m
+    T = ind.alphabet.size
     for table, _ in transforms:
         _check_table(table, T)
-    halves = _powers([ind.table, *(table for table, _ in transforms)], ind.codes)
-    base = next(halves)
-    base_total = _total(base, m)
-    yield _total_check(m, T, None, base_total)
-    for i, (_, d) in enumerate(transforms, 1):
-        half = next(halves)
-        total = _total(half, m)
-        ratio = _ratio_check(T, m, base, base_total / m, half, total / m)
-        del half  # not held while the next table is computed
-        if i == len(transforms):
-            del base  # the last ratio is done
-        yield _total_check(m, T, d, total), ratio
-        del ratio
+    factors = np.array([1.0, *(_total_factor(T, d) for _, d in transforms)])
+    checks = _record_checks(ind, [table for table, _ in transforms], factors, T / (T - 1.0))
+    for measured, expected, errors, ratios in checks:
+        totals = list(map(TotalSpectrumCheck, expected.tolist(), measured.tolist(), errors.tolist()))
+        if len(totals) > len(ratios):  # the base's block
+            yield totals.pop(0)
+        yield from zip(totals, ratios)
+        del totals, ratios  # not held while the next block is computed
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,11 @@ def kernel(monkeypatch):
     """Watch ``spectral._powers``, the kernel that every spectrum of every
     command passes through: reports, and ``check_record``'s checks.
 
-    ``tables`` gets the shapes of each call's tables. For each half
-    spectrum the kernel yields, ``halves`` gets a weak reference to it and
-    ``alive`` which earlier halves are still alive; ``live()`` tells which
-    are alive now.
+    ``tables`` gets the shapes of each call's tables. For each array the
+    kernel yields (the half spectra of the tables that one batch finished,
+    one row each), ``halves`` gets a weak reference to it and ``alive``
+    which earlier arrays are still alive; ``live()`` tells which are alive
+    now.
     """
     powers = spectral._powers
     seen = types.SimpleNamespace(tables=[], halves=[], alive=[])

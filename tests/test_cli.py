@@ -1,6 +1,5 @@
 import ctypes
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -279,15 +278,15 @@ class TestVerify:
     def test_a_failed_transform_total_fails_its_record(self, monkeypatch, fmt):
         """verify judges each representation it computes, the base and every
         transform, by its total and its SNR ratios, as analyze does."""
-        checked = spectral.check_record
+        checked = spectral._record_checks
 
-        def transforms_fail(ind, transforms):
-            checks = checked(ind, transforms)
-            yield next(checks)  # the base total
-            for total, ratio in checks:
-                yield dataclasses.replace(total, relative_error=1.0), ratio
+        def transforms_fail(*args):
+            for measured, expected, errors, ratios in checked(*args):
+                errors = errors.copy()
+                errors[len(errors) - len(ratios) :] = 1.0  # every transform's total, not the base's
+                yield measured, expected, errors, ratios
 
-        monkeypatch.setattr(spectral, "check_record", transforms_fail)
+        monkeypatch.setattr(spectral, "_record_checks", transforms_fail)
         code, out, _ = run_main(["verify", "--random", "3", "--seed", "3", "--format", fmt])
         assert code == 1
         if fmt == "json":
@@ -592,7 +591,7 @@ class TestRatioChecksKeepTheirHalf:
     )
     def test_ratios_are_never_built(self, monkeypatch, argv, stdin_text):
         checks, ratio_check = [], spectral._ratio_check
-        monkeypatch.setattr(spectral, "_ratio_check", lambda *args: checks.append(ratio_check(*args)) or checks[-1])
+        monkeypatch.setattr(spectral, "_ratio_check", lambda *args: checks.extend(made := ratio_check(*args)) or made)
         code, _, err = run_main(argv, stdin_text)
         assert code == 0, err
         assert checks
@@ -746,7 +745,7 @@ def test_matrix_numbers_that_are_not_numbers_are_refused(tmp_path, command, fiel
 
 
 _FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf])
-_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;') | st.characters())
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;%') | st.characters())
 
 
 @settings(deadline=None, max_examples=300)
@@ -754,8 +753,8 @@ _TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;') | st.
     record=_TEXT,
     m=st.integers(1, 10**9),
     total=st.builds(spectral.TotalSpectrumCheck, expected=_FLOATS, measured=_FLOATS, relative_error=_FLOATS),
+    expected=_FLOATS,
     ratios=st.lists(st.tuples(_TEXT, st.fixed_dictionaries({
-        "expected": _FLOATS,
         "max_dev": st.none() | _FLOATS,
         "checked_bins": st.integers(0, 10**9),
         "skipped_bins": st.integers(0, 10**9),
@@ -763,18 +762,22 @@ _TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600>;') | st.
         "pass": st.booleans(),
     })), min_size=1, max_size=4),
 )
-def test_verify_item_layout_is_json_dumps(record, m, total, ratios):
+def test_verify_item_layout_is_json_dumps(record, m, total, expected, ratios):
     """verify's fixed layout writes each record as json.dumps(indent=2,
     sort_keys=True) writes it at depth 2: NaN, infinities, -0.0, subnormal
-    and huge floats, a null max_dev, and ids with quotes, backslashes,
-    control characters and non-ASCII text (a FASTA header may hold any)."""
+    and huge floats, a null max_dev, and ids and names with quotes,
+    backslashes, control characters, per cent signs and non-ASCII text (a
+    FASTA header may hold any)."""
     item = {
         "id": record,
         "m": m,
         "total_spectrum": {**vars(total), "pass": total.passed()},
-        "snr_ratio": [{"representation": name, **fields} for name, fields in ratios],
+        "snr_ratio": [{"representation": name, "expected": expected, **fields} for name, fields in ratios],
     }
-    assert cli._verify_item(record, m, total, ratios) == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+    render = cli._verify_items([name for name, _ in ratios], expected)
+    rows = [(f["checked_bins"], f["max_dev"], f["pass"], f["skipped_bins"], f["vacuous"]) for _, f in ratios]
+    got = render(record, m, (total.expected, total.measured, total.relative_error, total.passed()), rows)
+    assert got == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 class TestVerifyOnePassPerRecord:
@@ -1007,8 +1010,9 @@ class TestReportsKeptForProfilesOnly:
     csv), and spectrum its one report; otherwise a report is dropped once
     its entry is made, and the base's half spectrum lives until the last
     ratio check of its record. A report keeps its half spectrum alive, so
-    the kernel's halves show the reports of analyze, compare and spectrum
-    and the halves that verify's checks take."""
+    the kernel's yields show the reports of analyze, compare and spectrum
+    and the halves that verify's checks take: one array per record at
+    verify's sizes, one per table where tables span batches."""
 
     @pytest.fixture
     def alive(self, kernel, monkeypatch):
@@ -1032,13 +1036,24 @@ class TestReportsKeptForProfilesOnly:
         ids=["analyze-text", "analyze-json", "analyze-csv", "compare-json", "compare-csv",
              "verify-text", "verify-json"],
     )
-    def test_reports_alive_when_each_spectrum_starts(self, alive, argv, kept):
+    def test_reports_alive_when_each_spectrum_starts(self, alive, monkeypatch, argv, kept):
         records = 2 if argv[0] == "verify" else 1  # verify checks two records, each against its implicit base
+        if records == 2:  # one row per batch, so that each table is a yield of its own
+            monkeypatch.setattr(spectral, "_BLOCK_BINS", 1)
         reps = ["--rep=base"] * (records == 1) + ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
         code, _, err = run_main(argv + reps, DNA_TEXT + ">y\nGGCATTACA\n" * (records - 1))
         assert code == 0, err
         record = [[], [True], [True, kept], [True, kept, kept]]  # the base, then three transforms
         assert alive == [[False] * 4 * r + row for r in range(records) for row in record] + [[kept] * 4 * records]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_takes_one_yield_per_record(self, alive, fmt):
+        """At verify's sizes one batch holds all of a record's tables: the
+        kernel hands them over as one array, dropped before the next record."""
+        reps = ["--rep=zcurve", "--rep=tetrahedron", "--rep=helmert"]
+        code, _, err = run_main(["verify", "--format", fmt, *reps], DNA_TEXT + ">y\nGGCATTACA\n")
+        assert code == 0, err
+        assert alive == [[], [False], [False, False]]
 
     @pytest.mark.parametrize("rep", ["base", "zcurve"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -201,7 +201,7 @@ class TestCheckRecord:
     # Rows per batch, as a multiple of m: 0 leaves _BLOCK_BINS as it is (one
     # batch); 1 is one row per batch; 3 splits tables and spans them.
     @pytest.mark.parametrize("rows_per_batch", [0, 1, 3])
-    @pytest.mark.parametrize("size", [2, 3, 4, 20])
+    @pytest.mark.parametrize("size", [2, 3, 4, 20, 36])  # 36: the largest default alphabet, 36 + 35 + 35 rows
     def test_bit_identical_to_the_reports(self, monkeypatch, tmp_path, size, rows_per_batch):
         reps = self._transforms(size, tmp_path)
         rng = np.random.default_rng([size, rows_per_batch])
