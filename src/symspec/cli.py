@@ -14,9 +14,11 @@ judges overflow (``_finite``), and, unless only the profile is wanted, its
 SNR-ratio check. verify needs no report: it binds what is fixed per
 command once (each transform's table for the run's alphabet, each name's
 JSON text), and takes each record's checks, the same bit for bit, from
-the step that ``spectral.check_record`` wraps: one pass of the spectral
-kernel over the base's and every transform's rows, and a few array steps.
-A representation passes when both of its checks pass, in every command.
+``spectral.check_record``: one pass of the spectral kernel over the base's
+and every transform's rows, and a few array steps. Every command reads
+the identity values and the verdicts from ``spectral``'s check objects,
+and uses no private name of ``spectral``. A representation passes when
+both of its checks pass, in every command.
 
 Each command renders its report as text pieces, lines of a text report or
 pieces of a JSON or CSV one, and hands them to ``_write``, the one writer,
@@ -351,7 +353,7 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
     for name, rep in reps.items():
         report = base if rep is None else spectral.spectrum_transformed(apply_representation(ind, rep))
         total = spectral.verify_total_spectrum(ind, report=report)
-        _finite([name], seq.m, [(total.expected, total.measured)])
+        _finite([name], seq.m, [total])
         ratio = None
         if checks:
             ratio = _ratio(None if rep is None else spectral.snr_ratio_check(ind, rep, base=base, transformed=report),
@@ -361,10 +363,10 @@ def _spectra(seq: SymbolicSequence, reps: dict, checks: bool = True):
 
 
 def _finite(names, m: int, totals) -> None:
-    """Raise for the first of *names* whose total, in *totals* one
-    (expected, measured, ...) per name, is not a finite float."""
-    for name, (expected, measured, *_) in zip(names, totals):
-        if not (math.isfinite(expected) and math.isfinite(measured)):
+    """Raise for the first of *names* whose total check, in *totals* one
+    per name, holds an expected or a measured total that is not a finite float."""
+    for name, total in zip(names, totals):
+        if not (math.isfinite(total.expected) and math.isfinite(total.measured)):
             raise ValueError(f"representation {name!r} at m = {m}: its total spectrum overflows float64")
 
 
@@ -675,8 +677,8 @@ def _verify_items(names, expected: float):
     "total_spectrum": {"expected", "measured", "relative_error", "pass"},
     "snr_ratio": [{"representation": name, "expected": expected,
     "checked_bins", "max_dev", "pass", "skipped_bins", "vacuous"}, ...]}.
-    *total* holds the base total's four values in that order, and *ratios*
-    one (checked_bins, max_dev, pass, skipped_bins, vacuous) per name, a
+    *total* is the base's ``TotalSpectrumCheck``, and *ratios* holds one
+    (checked_bins, max_dev, pass, skipped_bins, vacuous) per name, a
     max_dev of None written as null.
     """
     slot = "%s"  # left in the layout for each record's values
@@ -685,15 +687,16 @@ def _verify_items(names, expected: float):
                                for name in names)
     layout = _VERIFY_ITEM % (slot, slot, rows, slot, slot, slot, slot)
 
-    def item(record: str, m: int, total, ratios) -> str:
-        expected, measured, error, passed = total
+    def item(record: str, m: int, total: spectral.TotalSpectrumCheck, ratios) -> str:
+        expected, measured, error = total.expected, total.measured, total.relative_error
         floats = [expected, measured, error, *[dev for _, dev, *_ in ratios if dev is not None]]
         # Finite floats as json.dumps writes them: their repr; else its NaN or Infinity.
         fmt = float.__repr__ if all(map(math.isfinite, floats)) else _json_float
         fields = [text for checked, dev, ok, skipped, vacuous in ratios
                   for text in (checked, "null" if dev is None else fmt(dev), _JSON_BOOL[ok], skipped,
                                _JSON_BOOL[vacuous])]
-        return layout % (_json_string(record), m, *fields, fmt(expected), fmt(measured), _JSON_BOOL[passed], fmt(error))
+        return layout % (_json_string(record), m, *fields, fmt(expected), fmt(measured), _JSON_BOOL[total.passed()],
+                         fmt(error))
 
     return item
 
@@ -719,47 +722,43 @@ def cmd_verify(args) -> int:
     if not rep_names:
         is_dna = set(alphabet.symbols) == set("ACGT")
         rep_names = ["zcurve", "tetrahedron", "helmert"] if is_dna else ["helmert"]
-    # What is fixed per command, bound once: each transform's table for the run's
-    # one alphabet, once however often --rep names it, and its identity total over
-    # m^2; where each name's checks are, and each record's JSON layout.
+    # Each transform's table for the run's one alphabet, bound once however often
+    # --rep names it; where each name's checks are; and, from the first record's
+    # checks, the JSON layout with the ratio each SNR-ratio check expects.
     reps = {name: _resolve_rep(name, alphabet) for name in rep_names}
-    tables = [alphabet_table(rep, alphabet) for rep in reps.values()]
-    T = alphabet.size
-    factors = np.array([1.0, *(spectral._total_factor(T, rep.d) for rep in reps.values())])
+    transforms = [(alphabet_table(rep, alphabet), rep.d) for rep in reps.values()]
     names = ["base", *reps]
     at = [names.index(name) for name in rep_names]
-    expected_ratio = T / (T - 1.0)
-    item = _verify_items(rep_names, expected_ratio)
+    item = None
 
     # Each record's JSON item or text line, rendered as soon as its checks finish.
     rendered, n_pass = [], 0
     for i, seq in enumerate(seqs):
-        # Per table, (expected, measured, relative error) of its total; per transform after
-        # the base's None, its ratios as the JSON item lists them (_verify_items).
-        totals, ratios = [], [None]
-        for measured, expected, errors, checks in spectral._record_checks(build_indicators(seq), tables, factors,
-                                                                           expected_ratio):
-            block = list(zip(expected.tolist(), measured.tolist(), errors.tolist()))
-            _finite(names[len(totals) :], seq.m, block)
-            totals += block
-            ratios += [(rc.checked_bins, None if rc.vacuous else rc.max_deviation, rc.passed(), rc.skipped_bins,
-                        rc.vacuous) for rc in checks]
-            del checks  # not held while the next tables are computed
-        ok = [error <= tol for _, _, error in totals]  # each total's verdict, as TotalSpectrumCheck.passed()
+        # Per table, its total check; per transform, after the base's None, the fields of its
+        # ratio check as the JSON item lists them (_verify_items), so no ratio array is held.
+        checks = spectral.check_record(build_indicators(seq), transforms)
+        totals, ratios = [next(checks)], [None]
+        for total, rc in checks:
+            item = item or _verify_items(rep_names, rc.expected)
+            totals.append(total)
+            vacuous = rc.vacuous  # the same for each transform: the bins checked are the base's
+            ratios.append((rc.checked_bins, None if vacuous else rc.max_deviation, rc.passed(), rc.skipped_bins, vacuous))
+            del rc  # not held while the next table is checked
+        _finite(names, seq.m, totals)
+        ok = [total.passed() for total in totals]
         n_pass += all(ok) and all([ratio[2] for ratio in ratios[1:]])
         record = seq.id or f"record-{i:03d}"
         if args.format == "json":
-            rendered.append(item(record, seq.m, (*totals[0], ok[0]), [ratios[u] for u in at]))
+            rendered.append(item(record, seq.m, totals[0], [ratios[u] for u in at]))
             continue
-        vacuous = ratios[-1][4]  # the bins checked are the base's, the same for each transform
-        parts = [f"total-spectrum {_passfail(ok[0])} (rel err {totals[0][2]:.3g})"]
+        parts = [f"total-spectrum {_passfail(ok[0])} (rel err {totals[0].relative_error:.3g})"]
         for name, u in zip(rep_names, at):
             if vacuous and ok[u]:
                 parts.append(f"{name} PASS vacuous (no nonzero base bins)")
                 continue
             detail = "vacuous: no nonzero base bins" if vacuous else f"max dev {ratios[u][1]:.3g}"
             if not ok[u]:
-                detail = f"total rel err {totals[u][2]:.3g}, {detail}"
+                detail = f"total rel err {totals[u].relative_error:.3g}, {detail}"
             parts.append(f"{name} {_passfail(ok[u] and ratios[u][2])} ({detail})")
         rendered.append(f"{record} (m = {seq.m}): " + " | ".join(parts))
 
@@ -788,9 +787,9 @@ def cmd_verify(args) -> int:
                     f"(T = {alphabet.size}), seed = {seed}, m in [{lo}, {hi}]")
         else:
             head = f"verify: {count} sequence(s) from {label} over {alphabet} (T = {alphabet.size})"
-        transforms = "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative"
+        listed = "transforms: " + ", ".join(rep_names) + f"   tolerance: {tol:g} relative"
         result = f"result: {_passfail(all_pass)} ({n_pass}/{count} sequences)"
-        _write(args, _lines(chain([head, transforms, ""], rendered, ["", result])))
+        _write(args, _lines(chain([head, listed, ""], rendered, ["", result])))
 
     return 0 if all_pass else 1
 

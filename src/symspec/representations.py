@@ -92,6 +92,14 @@ def _checked_codes(codes, size: int) -> np.ndarray:
     return codes
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass *cls* that holds *fields* as they
+    are, without running its ``__post_init__``: for values already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # past the frozen __setattr__
+    return obj
+
+
 @lru_cache(maxsize=None)
 def _identity(size: int) -> np.ndarray:
     """The *size* x *size* identity, read-only, as a view over 2*size - 1 floats.
@@ -159,9 +167,10 @@ class IndicatorMatrix:
 def build_indicators(seq: SymbolicSequence) -> IndicatorMatrix:
     """Indicator rows of *seq*: rows[t, j] = 1 iff seq[j] is symbol t.
 
-    The result holds ``seq.codes`` itself, so building it copies nothing.
+    The result holds ``seq.codes`` itself, so building it copies nothing;
+    the sequence has checked its codes, so they are not checked again.
     """
-    return IndicatorMatrix(seq.alphabet, seq.codes)
+    return _trusted(IndicatorMatrix, alphabet=seq.alphabet, codes=seq.codes)
 
 
 @dataclass(frozen=True, repr=False)
@@ -317,8 +326,16 @@ def build_helmert(size: int, symbols: Sequence[str] | None = None) -> Representa
 
 def _check_table(table: np.ndarray, size: int) -> None:
     """Refuse *table* unless it is a (T-1) x T transform table for T = *size* >= 2 symbols."""
-    if size < 2 or np.shape(table) != (size - 1, size):
-        raise MatrixError(f"transform table must be (T-1) x T with T >= 2; got shape {np.shape(table)} for T = {size}")
+    if size < 2 or table.shape != (size - 1, size):
+        raise MatrixError(f"transform table must be (T-1) x T with T >= 2; got shape {table.shape} for T = {size}")
+
+
+def _signal_table(table) -> np.ndarray:
+    """*table* as a read-only float64 (T-1) x T transform table, a -0.0 entry read as 0.0."""
+    table = np.array(table, dtype=np.float64) + 0.0  # -0.0 -> 0.0
+    _check_table(table, table.shape[-1] if table.ndim else 0)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, repr=False)
@@ -338,11 +355,8 @@ class TransformedSignal:
     d: float
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.float64) + 0.0  # -0.0 -> 0.0
-        _check_table(table, table.shape[-1] if table.ndim else 0)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "codes", _checked_codes(self.codes, table.shape[1]))
+        object.__setattr__(self, "table", _signal_table(self.table))
+        object.__setattr__(self, "codes", _checked_codes(self.codes, self.table.shape[1]))
 
     @property
     def m(self) -> int:
@@ -394,9 +408,11 @@ def apply_representation(ind: IndicatorMatrix, rep: RepresentationMatrix) -> Tra
     column, which has a single nonzero term: the matrix entry in that
     position's symbol column. So the result is the matrix with its columns
     put in the alphabet's order (``alphabet_table``), together with the
-    indicators' codes; no channel is computed here.
+    indicators' codes, which are not checked again; no channel is computed
+    here.
     """
-    return TransformedSignal(table=alphabet_table(rep, ind.alphabet), codes=ind.codes, name=rep.name, d=rep.d)
+    table = _signal_table(alphabet_table(rep, ind.alphabet))
+    return _trusted(TransformedSignal, table=table, codes=ind.codes, name=rep.name, d=rep.d)
 
 
 def cumulative_coordinates(sig: TransformedSignal) -> np.ndarray:

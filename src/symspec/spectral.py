@@ -20,7 +20,10 @@ spectrum away from k = 0:
 report against m^2 or d^2 (T-1)/T m^2, and ``snr_ratio_check`` the SNR
 ratio; both accept reports the caller already holds, so a command computes
 each spectrum once. ``check_record`` makes the same checks, bit for bit,
-for one record and several transforms, without building a report.
+for one record and several transforms, without building a report. Each
+identity value is stated once, in ``_total_checks`` and ``_ratio_check``,
+which all three use, and each pass rule once, in ``TotalSpectrumCheck``
+and ``RatioCheck``: callers read the verdicts from the check objects.
 
 Every representation is a table gathered at the sequence's codes (see
 symspec.representations): the identity for the indicator rows, the
@@ -321,27 +324,19 @@ def verify_total_spectrum(
         report = spectrum_base(ind)
     else:
         _require_match(report, ind, "base" if report.d is None else "transformed")
-    return _total_check(ind.m, ind.alphabet.size, report.d, report.total)
-
-
-def _total_factor(T: int, d: float | None) -> float:
-    """The identity total over m^2: 1 for the base (d None), d^2 (T-1)/T for a transform."""
-    return 1.0 if d is None else d**2 * (T - 1) / T
-
-
-def _total_errors(factors: np.ndarray, m: int, measured: np.ndarray):
-    """The identity totals, *factors* times m^2, and the relative errors of
-    the *measured* totals against them. Overflow and inf - inf are left to
-    the caller's errstate: a total that is not finite fails its check."""
-    expected = factors * float(m) ** 2
-    return expected, np.abs(measured - expected) / expected
-
-
-def _total_check(m: int, T: int, d: float | None, measured: float) -> TotalSpectrumCheck:
-    """*measured* against the identity: m^2 for the base (d None), d^2 (T-1)/T m^2 for a transform."""
     with np.errstate(over="ignore", invalid="ignore"):
-        expected, error = _total_errors(np.array([_total_factor(T, d)]), m, np.array([measured]))
-    return TotalSpectrumCheck(expected=float(expected[0]), measured=measured, relative_error=float(error[0]))
+        (check,) = _total_checks(ind.alphabet.size, [report.d], ind.m, np.array([report.total]))
+    return check
+
+
+def _total_checks(T: int, ds, m: int, measured: np.ndarray) -> list[TotalSpectrumCheck]:
+    """The check of each *measured* total against its identity: m^2 for the
+    base (d None), d^2 (T-1)/T m^2 for a transform of row norm d, one d per
+    total. Overflow and inf - inf are left to the caller's errstate: a total
+    that is not finite fails its check."""
+    expected = np.array([1.0 if d is None else d**2 * (T - 1) / T for d in ds]) * float(m) ** 2
+    errors = np.abs(measured - expected) / expected
+    return list(map(TotalSpectrumCheck, expected.tolist(), measured.tolist(), errors.tolist()))
 
 
 @dataclass(frozen=True, repr=False)
@@ -403,9 +398,8 @@ def snr_ratio_check(
         _require_match(transformed, ind, "transformed")
     snr = base.half_power / base.mean_noise
     mask, checked = _checked_bins(snr, ind.m)
-    T = ind.alphabet.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        (check,) = _ratio_check(T / (T - 1.0), ind.m, snr, mask, checked,
+        (check,) = _ratio_check(ind.alphabet.size, ind.m, snr, mask, checked,
                                 transformed.half_power[np.newaxis], np.array([transformed.mean_noise]))
     return check
 
@@ -418,14 +412,15 @@ def _checked_bins(snr: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return mask, 2 * int(np.add.reduce(mask)) - int(m % 2 == 0 and mask[-1])
 
 
-def _ratio_check(expected: float, m: int, snr, mask, checked: int, halves, noises) -> list[RatioCheck]:
+def _ratio_check(T: int, m: int, snr, mask, checked: int, halves, noises) -> list[RatioCheck]:
     """The SNR-ratio check of each row of half powers *halves* (mean noise
     *noises*) against the base SNR *snr*, at the *checked* bins *mask* picks
-    (``_checked_bins``), against the ratio *expected*, T/(T-1): all from one
-    block, each check's ``half_ratios`` a read-only row of it. The bins
-    it skips are divided too, then set to NaN, and an inf / inf where a
-    power overflowed is judged by the total check: the caller's errstate
+    (``_checked_bins``), against the ratio T/(T-1): all from one block,
+    each check's ``half_ratios`` a read-only row of it. The bins it skips
+    are divided too, then set to NaN, and an inf / inf where a power
+    overflowed is judged by the total check: the caller's errstate
     silences both."""
+    expected = T / (T - 1.0)
     ratios = halves / noises[:, np.newaxis]
     ratios /= snr  # in place, bin by bin (half / noise) / snr
     ratios[:, ~mask] = np.nan
@@ -438,40 +433,6 @@ def _ratio_check(expected: float, m: int, snr, mask, checked: int, halves, noise
     return [RatioCheck(expected, row, dev, checked, m - 1 - checked) for row, dev in zip(ratios, devs)]
 
 
-def _record_checks(ind: IndicatorMatrix, tables, factors: np.ndarray, expected_ratio: float):
-    """The checks of one record, stacked, from one ``_powers`` pass over the
-    base's and each transform table's rows.
-
-    *tables* are (T-1) x T tables that fit the record, *factors* the
-    identity totals over m^2 (``_total_factor``) of the base and of each
-    table, and *expected_ratio* is T/(T-1). For each array of half powers
-    that the kernel hands over, yields its tables' measured totals,
-    identity totals and relative errors, as arrays, then the
-    ``RatioCheck`` of each of them that is a transform. The base SNR, its
-    mask and its bin counts are computed once, the SNR in place of the base
-    half, which is kept until the last ratio; every other half is dropped
-    once its block's checks are made.
-    """
-    m, i, snr = ind.m, 0, None
-    for halves in _powers([ind.table, *tables], ind.codes):
-        n = halves.shape[0]
-        # A total that is not finite fails its check; a skipped ratio bin is overwritten.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            measured = _totals(halves, m)
-            expected, errors = _total_errors(factors[i : i + n], m, measured)
-            if snr is None:  # the base, whose SNR takes its half's place
-                snr = halves[0]
-                snr /= measured[0] / m
-                mask, checked = _checked_bins(snr, m)
-                halves = halves[1:]
-            ratios = _ratio_check(expected_ratio, m, snr, mask, checked, halves, measured[n - halves.shape[0] :] / m)
-        i += n
-        del halves  # not held while the next tables are computed
-        if i == factors.size:
-            del snr, mask  # the last ratio is done
-        yield measured, expected, errors, ratios
-
-
 def check_record(ind: IndicatorMatrix, transforms):
     """The identity checks of one record, in one pass and without a report.
 
@@ -481,22 +442,39 @@ def check_record(ind: IndicatorMatrix, transforms):
     transform in turn, its ``TotalSpectrumCheck`` and its ``RatioCheck``:
     the results, bit for bit, of ``verify_total_spectrum`` and
     ``snr_ratio_check`` on ``spectrum_base`` and ``spectrum_transformed``.
+    A table that is not (T-1) x T for the record's T is refused with
+    ``MatrixError`` before any FFT.
 
     All the record's tables go through one ``_powers`` pass, so while its
-    rows fit one batch that is one ``np.take`` and one ``rfft``, and the
-    checks are a few array steps over all its tables at once
-    (``_record_checks``). Where tables span batches, only the base half is
-    kept until the last ratio, and each transform's half only until its
-    checks are made. A table that is not (T-1) x T for the record's T is
-    refused with ``MatrixError`` before any FFT.
+    rows fit one batch that is one ``np.take`` and one ``rfft``. Each array
+    of half powers the kernel hands over is checked at once: every total
+    with one row-wise sum, every ratio from one block against the base SNR.
+    The base SNR, its mask and its bin counts are computed once, the SNR in
+    place of the base half, which is kept until the last ratio; where
+    tables span batches, each transform's half is kept only until its
+    checks are made.
     """
-    T = ind.alphabet.size
+    T, m = ind.alphabet.size, ind.m
     for table, _ in transforms:
         _check_table(table, T)
-    factors = np.array([1.0, *(_total_factor(T, d) for _, d in transforms)])
-    checks = _record_checks(ind, [table for table, _ in transforms], factors, T / (T - 1.0))
-    for measured, expected, errors, ratios in checks:
-        totals = list(map(TotalSpectrumCheck, expected.tolist(), measured.tolist(), errors.tolist()))
+    ds = [None, *[d for _, d in transforms]]  # the base's, then each transform's row norm
+    i, snr = 0, None
+    for halves in _powers([ind.table, *[table for table, _ in transforms]], ind.codes):
+        n = halves.shape[0]
+        # A total that is not finite fails its check; a skipped ratio bin is overwritten.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            measured = _totals(halves, m)
+            totals = _total_checks(T, ds[i : i + n], m, measured)
+            if snr is None:  # the base, whose SNR takes its half's place
+                snr = halves[0]
+                snr /= measured[0] / m
+                mask, checked = _checked_bins(snr, m)
+                halves = halves[1:]
+            ratios = _ratio_check(T, m, snr, mask, checked, halves, measured[n - halves.shape[0] :] / m)
+        i += n
+        del halves  # not held while the next tables are computed
+        if i == len(ds):
+            del snr, mask  # the last ratio is done
         if len(totals) > len(ratios):  # the base's block
             yield totals.pop(0)
         yield from zip(totals, ratios)

@@ -1,5 +1,6 @@
 import ctypes
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -278,15 +279,15 @@ class TestVerify:
     def test_a_failed_transform_total_fails_its_record(self, monkeypatch, fmt):
         """verify judges each representation it computes, the base and every
         transform, by its total and its SNR ratios, as analyze does."""
-        checked = spectral._record_checks
+        checked = spectral.check_record
 
-        def transforms_fail(*args):
-            for measured, expected, errors, ratios in checked(*args):
-                errors = errors.copy()
-                errors[len(errors) - len(ratios) :] = 1.0  # every transform's total, not the base's
-                yield measured, expected, errors, ratios
+        def transforms_fail(ind, transforms):
+            checks = checked(ind, transforms)
+            yield next(checks)  # the base's total passes
+            for total, ratio in checks:
+                yield dataclasses.replace(total, relative_error=1.0), ratio
 
-        monkeypatch.setattr(spectral, "_record_checks", transforms_fail)
+        monkeypatch.setattr(spectral, "check_record", transforms_fail)
         code, out, _ = run_main(["verify", "--random", "3", "--seed", "3", "--format", fmt])
         assert code == 1
         if fmt == "json":
@@ -776,7 +777,7 @@ def test_verify_item_layout_is_json_dumps(record, m, total, expected, ratios):
     }
     render = cli._verify_items([name for name, _ in ratios], expected)
     rows = [(f["checked_bins"], f["max_dev"], f["pass"], f["skipped_bins"], f["vacuous"]) for _, f in ratios]
-    got = render(record, m, (total.expected, total.measured, total.relative_error, total.passed()), rows)
+    got = render(record, m, total, rows)
     assert got == json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 

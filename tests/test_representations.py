@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import traced
+from symspec import representations, sequences
 from symspec import (
     DNA,
     Alphabet,
@@ -118,6 +119,26 @@ class TestSharedCodes:
         codes.setflags(write=False)
         assert IndicatorMatrix(DNA, codes).codes is codes
         assert TransformedSignal(build_zcurve().rows, codes, "zcurve", 2.0).codes is codes
+
+    def test_a_sequence_is_checked_once(self, monkeypatch):
+        """build_indicators and apply_representation trust the codes that the
+        sequence has checked, and pass over them no more; raw codes given to
+        a constructor are still checked."""
+        calls = []
+        for module, name in [(representations, "_checked_codes"), (sequences, "_read_only_codes")]:
+            monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), n=name: calls.append(n) or f(*args))
+        seq = dna("ACGTTGCA")
+        assert calls == ["_read_only_codes"]  # the sequence checks its codes
+        calls.clear()
+        ind = build_indicators(seq)
+        sig = apply_representation(ind, build_zcurve())
+        assert calls == []
+        assert ind.codes is seq.codes and sig.codes is seq.codes
+        with pytest.raises(MatrixError, match="codes"):
+            IndicatorMatrix(DNA, np.array([0, 4]))
+        with pytest.raises(MatrixError, match="codes"):
+            TransformedSignal(build_zcurve().rows, np.array([0, 4]), "zcurve", 2.0)
+        assert calls == ["_checked_codes"] * 2
 
 
 class TestValidateRowOrthogonal:
