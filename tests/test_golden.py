@@ -52,6 +52,9 @@ INPUTS = {
     "protein-501": _fasta("protein-501", _random_body(PROTEIN, 501, 501)),
     "periodic-1200": _fasta("periodic-1200", _near_periodic()),
     "dna-100000": _fasta("dna-100000", _random_body(DNA, 100_000, 100_000)),
+    # Lengths where a verify record's rows take several batches of the power kernel.
+    "dna-200000": _fasta("dna-200000", _random_body(DNA, 200_000, 200_000)),
+    "protein-60000": _fasta("protein-60000", _random_body(PROTEIN, 60_000, 60_000)),
     "single-9": _fasta("single-9", "A" * 9),
 }
 
@@ -66,7 +69,8 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     def add(cid, inp, argv):
         cases[cid] = (inp, argv)
 
-    dna_small = [name for name in INPUTS if name.startswith(("dna-", "periodic-")) and name != "dna-100000"]
+    large = ("dna-100000", "dna-200000")
+    dna_small = [name for name in INPUTS if name.startswith(("dna-", "periodic-")) and name not in large]
     for inp in dna_small:
         for fmt in FORMATS:
             al = ["--alphabet", DNA, "--format", fmt]
@@ -130,6 +134,12 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
                 ["spectrum", "--alphabet", DNA, "--rep", rep, "--format", fmt])
     add("dna-100000/analyze/csv", "dna-100000",
         ["analyze", "--alphabet", DNA, "--rep", "base", "--rep", "helmert", "--format", "csv"])
+    for fmt in ("text", "json"):
+        add(f"dna-200000/verify/{fmt}", "dna-200000", ["verify", "--alphabet", DNA, "--format", fmt])
+        add(f"protein-60000/verify/{fmt}", "protein-60000", ["verify", "--alphabet", PROTEIN, "--format", fmt])
+        for seed, size in zip((5, 7, 11, 13, 17, 19, 23, 29), (4, 20, 4, 20, 7, 36, 2, 3)):
+            add(f"random-{size}-seed-{seed}/verify/{fmt}", None,
+                ["verify", "--random", "4", "--seed", str(seed), "--alphabet-size", str(size), "--format", fmt])
     return cases
 
 
