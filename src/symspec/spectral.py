@@ -29,11 +29,11 @@ Every representation is a table gathered at the sequence's codes (see
 symspec.representations): the identity for the indicator rows, the
 transform in alphabet column order for the channels. Reports and
 ``check_record`` take their power from one kernel, ``_powers(tables,
-codes)``, which takes the rows of several tables in order, gathers a few
-rows of ``table[:, codes]`` at a time (a batch may span tables), runs one
-real-input FFT per batch and adds each row's power into its table's
-running sum; no dense T x m array is ever held. After each batch it
-hands over the tables that batch finished as one array, one row each, so
+codes)``. It packs whole tables, in order, while their rows fit one batch
+of rows of ``table[:, codes]``, and takes a table with more rows alone, a
+batch at a time; each batch is one real-input FFT, and each row's power
+goes into its table's running sum, so no dense T x m array is ever held.
+It hands over each pack as one array, one row per table, so
 ``check_record`` checks all the tables of a small record together. Real
 rows give P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2
 only: its ``power`` and ``snr`` are mirrored from them on first access,
@@ -50,10 +50,8 @@ bin.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -99,6 +97,14 @@ BASE_SNR_FLOOR = 1e-12  # ratio bins with base SNR at or below this are skipped
 _BLOCK_BINS = 2**20
 
 
+def _dft_input(x) -> np.ndarray:
+    """*x* as a complex array: the input rule of both DFTs."""
+    xc = np.asarray(x, dtype=np.complex128)
+    if xc.ndim != 1 or xc.size == 0:
+        raise ValueError("input must be a non-empty 1-D sequence")
+    return xc
+
+
 def dft_naive(x) -> np.ndarray:
     """Direct-summation DFT, X(k) = sum_j x(j) exp(-i 2 pi k j / m).
 
@@ -106,9 +112,7 @@ def dft_naive(x) -> np.ndarray:
     phase is reduced exactly, as (k*j) mod m, into one table of the m roots
     exp(-i 2 pi n / m), so no FFT and no per-element exp is involved.
     """
-    xc = np.asarray(x, dtype=np.complex128)
-    if xc.ndim != 1 or xc.size == 0:
-        raise ValueError("input must be a non-empty 1-D sequence")
+    xc = _dft_input(x)
     m = xc.size
     j = np.arange(m)
     roots = np.exp((-2j * np.pi / m) * j)
@@ -123,10 +127,7 @@ def dft_fast(x) -> np.ndarray:
 
     Same contract as dft_naive; per-bin agreement within DFT_MATCH_TOL.
     """
-    xc = np.asarray(x, dtype=np.complex128)
-    if xc.ndim != 1 or xc.size == 0:
-        raise ValueError("input must be a non-empty 1-D sequence")
-    return np.fft.fft(xc)
+    return np.fft.fft(_dft_input(x))
 
 
 @dataclass(frozen=True, repr=False)
@@ -185,68 +186,59 @@ def _mirror(half: np.ndarray, m: int) -> np.ndarray:
 
 def _powers(tables, codes: np.ndarray):
     """Yield the half powers sum_l |DFT(table[l, codes])(k)|^2, k = 0 .. m//2,
-    of the tables, in order: after each batch that finishes tables, one
-    array with one row per table it finished.
+    of the tables, in order: one array per pack, one row per table in it.
 
     Row l of a table's signal is its row l gathered at the codes: the
     identity table gives the indicator rows, a transform's table (columns in
-    alphabet order) its channels. The tables' rows are taken in order, a
-    batch of about _BLOCK_BINS / m rows at a time, and a batch may span
-    tables: each batch is one ``np.take`` from slices of the tables it spans
-    and one ``rfft``, so the gathered rows and their spectra together take
-    about as much memory as _BLOCK_BINS complex bins (16 MiB), and neither
-    the dense rows nor all the tables joined are ever held.
+    alphabet order) its channels. A batch is at most _BLOCK_BINS / m rows
+    (at least one). A pack is whole tables, in order, while their rows fit
+    one batch, or one table with more rows than that, alone. Whole tables
+    are one ``np.take`` over their joined rows and one ``rfft``; a table
+    alone takes a batch of its rows at a time. So the gathered rows and
+    their spectra together take about as much memory as _BLOCK_BINS complex
+    bins (16 MiB), and the dense rows are never held.
     ``np.take`` widens one-byte codes to intp on each call: at m = 1e6
     about 0.6 ms and 8 B/symbol for the length of the gather, against some
-    25 ms for the row's rfft. A record of a few thousand bins is one batch
-    and one yield; at large m each yield is one table, its running sum
-    itself. A yielded array is handed over once the batch has been
-    dropped, and is not kept.
+    25 ms for the row's rfft. A record of a few thousand bins is one pack
+    and one yield; at large m each pack is one table. The generator keeps
+    no reference to an array it has yielded.
 
     Real rows have Hermitian spectra, so rfft's bins 0 .. m//2 carry all the
     power: P(k) = P(m - k) for the rest. Each table's row powers go into one
-    running sum, row after row, so its power is bit for bit that of one
-    rfft over all its dense rows summed with ``sum(axis=0)``, whatever the
-    batch size and whatever the other tables.
+    running sum, row after row, carried from batch to batch only by a table
+    alone, so its power is bit for bit that of one rfft over all its dense
+    rows summed with ``sum(axis=0)``, whatever the batch size and whatever
+    the other tables.
     """
     m = codes.size
-    ends = list(accumulate([table.shape[0] for table in tables]))  # past each table's last row
-    starts = [0, *ends[:-1]]
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
-    t, sums = 0, None  # the running sums of tables t .. , one row each
-    for first in range(0, ends[-1], batch):
-        stop = min(first + batch, ends[-1])
-        u = bisect_left(ends, stop)  # the batch's last table
+    sizes = [table.shape[0] for table in tables]
+    i = 0
+    while i < len(tables):
+        j = i + 1  # the pack is tables i .. j-1
+        while j < len(tables) and sum(sizes[i : j + 1]) <= batch:
+            j += 1
         # The running sums are allocated before the batch's arrays: after them,
-        # they raised the peak RSS of analyze at m = 1e6 by 4 MB. Table t's, if
-        # an earlier batch began it, is continued in place while it is the
-        # batch's one table.
-        begun = None if sums is None else sums[0]
-        if sums is None or u > t:
-            sums = np.zeros((u - t + 1, m // 2 + 1))
-        # The batch's rows, sliced from the tables it spans (table t first): the
-        # tables are never joined whole, so a T x T identity costs only its batch.
-        rows = [tables[v][first - starts[v] if v == t else 0 : stop - starts[v]] for v in range(t, u + 1)]
-        spectra = np.fft.rfft((rows[0] if u == t else np.concatenate(rows)).take(codes, axis=1), axis=1)
-        with np.errstate(over="ignore"):  # judged by the total check; never across a yield, which would leak it
-            power = spectra.real**2
-            power += spectra.imag**2
-            del spectra
-            lo = first
-            for r, hi in enumerate([*ends[t:u], stop]):  # the batch's rows of table t, then of the next
-                block = power[lo - first : hi - first]
-                if r == 0 and begun is not None:
-                    block[0] += begun  # so the sum below continues the table's running sum
-                np.add.reduce(block, axis=0, out=sums[r])
-                lo = hi
-        del power, block, begun  # before the finished tables are handed over
-        if ends[u] == stop:  # every table of the batch is done
-            done, sums, t = [sums], None, u + 1
-        elif u > t:  # all but the last, which the next batch continues
-            done, sums, t = [sums[:-1]], sums[-1:].copy(), u
-        else:
-            continue
-        yield done.pop()
+        # they raised the peak RSS of analyze at m = 1e6 by 4 MB. A list, so
+        # that the sums leave the generator with the yield.
+        sums = [np.zeros((j - i, m // 2 + 1))]
+        # A table alone is sliced, never copied, so a T x T identity costs only its batch.
+        rows = tables[i] if j == i + 1 else np.concatenate(tables[i:j])
+        for first in range(0, len(rows), batch):  # one batch, unless the table is alone
+            spectra = np.fft.rfft(rows[first : first + batch].take(codes, axis=1), axis=1)
+            with np.errstate(over="ignore"):  # judged by the total check; never across a yield, which would leak it
+                power = spectra.real**2
+                power += spectra.imag**2
+                del spectra
+                if first:
+                    power[0] += sums[0][0]  # so the sum below continues the table's running sum
+                lo = 0
+                for r, size in enumerate(sizes[i:j]):  # the batch's rows of each table
+                    np.add.reduce(power[lo : lo + size], axis=0, out=sums[0][r])
+                    lo += size
+            del power  # before the pack is handed over
+        yield sums.pop()
+        i = j
 
 
 def _totals(halves: np.ndarray, m: int) -> np.ndarray:
@@ -446,13 +438,13 @@ def check_record(ind: IndicatorMatrix, transforms):
     ``MatrixError`` before any FFT.
 
     All the record's tables go through one ``_powers`` pass, so while its
-    rows fit one batch that is one ``np.take`` and one ``rfft``. Each array
-    of half powers the kernel hands over is checked at once: every total
-    with one row-wise sum, every ratio from one block against the base SNR.
-    The base SNR, its mask and its bin counts are computed once, the SNR in
-    place of the base half, which is kept until the last ratio; where
-    tables span batches, each transform's half is kept only until its
-    checks are made.
+    rows fit one batch they are one pack, one ``np.take`` and one ``rfft``.
+    Each pack's array of half powers is checked at once: every total with
+    one row-wise sum, every ratio from one block against the base SNR. The
+    base SNR, its mask and its bin counts are computed once, the SNR in
+    place of the base half, which is kept until the last ratio; where the
+    record takes several packs, each transform's half is kept only until
+    its checks are made.
     """
     T, m = ind.alphabet.size, ind.m
     for table, _ in transforms:

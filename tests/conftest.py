@@ -127,10 +127,9 @@ def kernel(monkeypatch):
     command passes through: reports, and ``check_record``'s checks.
 
     ``tables`` gets the shapes of each call's tables. For each array the
-    kernel yields (the half spectra of the tables that one batch finished,
-    one row each), ``halves`` gets a weak reference to it and ``alive``
-    which earlier arrays are still alive; ``live()`` tells which are alive
-    now.
+    kernel yields (the half spectra of one pack's tables, one row each),
+    ``halves`` gets a weak reference to it and ``alive`` which earlier
+    arrays are still alive; ``live()`` tells which are alive now.
     """
     powers = spectral._powers
     seen = types.SimpleNamespace(tables=[], halves=[], alive=[])

@@ -783,7 +783,8 @@ def test_verify_item_layout_is_json_dumps(record, m, total, expected, ratios):
 
 class TestVerifyOnePassPerRecord:
     """verify takes each record's rows, the base's and every transform's,
-    through one rfft while they fit one batch of the kernel."""
+    through one rfft while they fit one batch of the kernel. Otherwise a
+    batch holds whole tables or rows of one table, never both."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -803,9 +804,31 @@ class TestVerifyOnePassPerRecord:
         argv = ["verify", "--random", "40", "--seed", "5", "--format", fmt]
         whole = run_main(argv)
         one_per_record = len(rows)
-        monkeypatch.setattr(spectral, "_BLOCK_BINS", 3000)  # from m = 231, batches split tables and span them
+        # At 3000 samples a batch, a record takes several packs from m = 231 and splits its base from m = 751.
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 3000)
         assert run_main(argv) == whole
         assert len(rows) - one_per_record > one_per_record
+
+    # DNA's tables have 4, 3, 3 and 3 rows (the base, zcurve, tetrahedron and
+    # helmert), protein's 20 and 19 (the base and helmert).
+    @pytest.mark.parametrize(
+        "alphabet, per_batch, per_call",
+        [
+            ("ACGT", 13, [13]),
+            ("ACGT", 10, [10, 3]),
+            ("ACGT", 5, [4, 3, 3, 3]),
+            ("ACGT", 3, [3, 1, 3, 3, 3]),
+            ("ACDEFGHIKLMNPQRSTVWY", 17, [17, 3, 17, 2]),
+        ],
+        ids=["dna-13", "dna-10", "dna-5", "dna-3", "protein-17"],
+    )
+    def test_a_batch_holds_whole_tables_or_rows_of_one(self, rows, monkeypatch, alphabet, per_batch, per_call):
+        m = 60
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", per_batch * m)
+        body = "".join(np.random.default_rng(m).choice(list(alphabet), m))
+        code, _, err = run_main(["verify", "--alphabet", alphabet], f">x\n{body}\n")
+        assert code == 0, err
+        assert rows == per_call
 
 
 def _report(half_power, m, mean_noise, name="hand"):
@@ -1012,8 +1035,9 @@ class TestReportsKeptForProfilesOnly:
     its entry is made, and the base's half spectrum lives until the last
     ratio check of its record. A report keeps its half spectrum alive, so
     the kernel's yields show the reports of analyze, compare and spectrum
-    and the halves that verify's checks take: one array per record at
-    verify's sizes, one per table where tables span batches."""
+    and the halves that verify's checks take: one array per pack, so one
+    per record at verify's sizes, and one per table when no two tables fit
+    one batch."""
 
     @pytest.fixture
     def alive(self, kernel, monkeypatch):

@@ -14,6 +14,7 @@ from symspec import (
     Alphabet,
     IndicatorMatrix,
     MatrixError,
+    SequenceError,
     SymbolicSequence,
     TransformedSignal,
     apply_representation,
@@ -82,6 +83,8 @@ class TestIndicators:
     def test_constructor_rejects_bad_codes(self, codes):
         with pytest.raises(MatrixError, match="codes"):
             IndicatorMatrix(DNA, codes)
+        with pytest.raises(SequenceError, match="^(sequence codes .*|empty sequence)$"):  # and so does a sequence
+            SymbolicSequence(DNA, np.array(codes))
 
     def test_derived_arrays_are_read_only(self):
         ind = build_indicators(dna("ACGTT"))
@@ -169,6 +172,8 @@ class TestValidateRowOrthogonal:
     def test_rejects_wrong_shape(self):
         with pytest.raises(MatrixError, match="T-1"):
             validate_row_orthogonal([[1, -1, 0]])
+        with pytest.raises(MatrixError, match="^matrix must be two-dimensional$"):
+            validate_row_orthogonal([1, -1])
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(MatrixError, match="finite"):
@@ -177,6 +182,8 @@ class TestValidateRowOrthogonal:
     def test_rejects_mismatched_alphabet_order(self):
         with pytest.raises(MatrixError, match="alphabet_order"):
             validate_row_orthogonal([[1, -1]], alphabet_order=("A", "B", "C"))
+        with pytest.raises(MatrixError, match="^alphabet_order symbols are not distinct$"):
+            validate_row_orthogonal([[1, -1]], alphabet_order=("A", "A"))
 
     @pytest.mark.parametrize("scale", [1e-7, 1e3, 1e7])
     def test_verdict_does_not_depend_on_scale(self, scale):
@@ -476,4 +483,7 @@ class TestMatrixJson:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(MatrixError, match="not valid JSON"):
+            load_matrix(path)
+        path.write_text("[[1, -1]]")  # valid JSON, but not a matrix object
+        with pytest.raises(MatrixError, match="^matrix JSON must be an object$"):
             load_matrix(path)

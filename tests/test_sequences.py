@@ -420,6 +420,12 @@ def test_random_sequence_is_seed_deterministic():
     assert a.m == 50
 
 
+def test_random_sequence_draws_from_a_fresh_generator_and_refuses_length_0():
+    assert random_sequence(DNA, 5).m == 5
+    with pytest.raises(SequenceError, match="^empty sequence$"):
+        random_sequence(DNA, 0)
+
+
 def test_random_sequence_keeps_its_draw_uncopied():
     m = 1_000_000
     rng = np.random.default_rng(12)

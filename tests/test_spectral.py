@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestDftFast:
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert dft_max_deviation(dft_fast(x), dft_naive(x)) < TOL
 
+    @pytest.mark.parametrize("x", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
+    def test_refuses_what_dft_naive_refuses(self, x):
+        for dft in (dft_naive, dft_fast):
+            with pytest.raises(ValueError, match="^input must be a non-empty 1-D sequence$"):
+                dft(x)
+
     def test_genomic_length_1236(self):
         x = np.random.default_rng(1236).standard_normal(1236)
         assert dft_max_deviation(dft_fast(x), dft_naive(x)) < TOL
@@ -135,6 +142,13 @@ class TestPowerKernel:
         forced = spectral._report("t", 5, None, table, codes).power
         np.testing.assert_allclose(forced, whole, rtol=1e-12)
         assert np.max(np.abs(forced - expected)) <= DFT_MATCH_TOL * 40
+
+    def test_a_yielded_pack_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", 40)  # 40 samples: one row per batch, each table a pack
+        halves = spectral._powers([np.eye(4), np.eye(4)[1:]], np.arange(40) % 4)
+        first = weakref.ref(next(halves))
+        assert first() is None  # while the generator is suspended
+        assert [half.shape for half in halves] == [(1, 21)]
 
     @pytest.mark.parametrize(
         "block_bins, size, m",
@@ -199,7 +213,8 @@ class TestCheckRecord:
             assert self._fields(ratio) == self._fields(want), (ind.m, rep.name)
 
     # Rows per batch, as a multiple of m: 0 leaves _BLOCK_BINS as it is (one
-    # batch); 1 is one row per batch; 3 splits tables and spans them.
+    # pack); 1 is one row per batch; 3 packs tables of up to 3 rows, alone or
+    # together, and splits larger tables.
     @pytest.mark.parametrize("rows_per_batch", [0, 1, 3])
     @pytest.mark.parametrize("size", [2, 3, 4, 20, 36])  # 36: the largest default alphabet, 36 + 35 + 35 rows
     def test_bit_identical_to_the_reports(self, monkeypatch, tmp_path, size, rows_per_batch):
@@ -669,6 +684,9 @@ class TestPeriodicityQuery:
         report = spectrum_transformed(apply_representation(ind, build_tetrahedron()))
         for k in range(1, m):
             assert _bits(report.snr_at(k)) == _bits(report.snr[k - 1])
+        for k in (0, m):
+            with pytest.raises(ValueError, match=f"^k must be in 1..{m - 1}, got {k}$"):
+                report.snr_at(k)
         for period in range(2, m + 1):
             peak = periodicity_query(report, period)
             assert _bits(peak.power) == _bits(report.power[peak.k])
