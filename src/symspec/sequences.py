@@ -289,11 +289,22 @@ _MARKERS = ">;"
 def _infer_alphabet(records: list[tuple[str | None, str]]) -> Alphabet:
     """The sorted set of characters in the cleaned record bodies.
 
+    One ``np.bincount`` per body over its code points, read as the encoder
+    reads them (UTF-32, lone surrogates included): its count array has one
+    entry per code point up to the largest one present, so at most
+    1 114 112 entries, and 85 for ``ACGT`` text. The code points and
+    bincount's intp copy of them take 12 B/symbol, as the encoder's gather
+    does, so one body is counted at a time: counting all of them at once
+    took the peak RSS of ``verify -i`` on 1000 records of 20 000 symbols
+    from 109 to 338 MiB.
+
     A marker character in a body is an error that names its first
     occurrence (1-based within the cleaned body, as the encoder counts).
     """
-    seen = set().union(*(set(body) for _, body in records))
-    if not seen.isdisjoint(_MARKERS):
+    points = set().union(*(np.flatnonzero(np.bincount(np.frombuffer(
+        body.encode("utf-32-le", "surrogatepass"), dtype=np.uint32))).tolist() for _, body in records))
+    seen = tuple(map(chr, sorted(points)))  # code-point order, which is the order sorted() gives str
+    if not set(_MARKERS).isdisjoint(seen):
         for rid, body in records:
             hits = [pos for pos in map(body.find, _MARKERS) if pos >= 0]
             if hits:
@@ -302,7 +313,7 @@ def _infer_alphabet(records: list[tuple[str | None, str]]) -> Alphabet:
                     f"character {body[pos]!r} at position {pos + 1}{_of_record(rid)} marks a "
                     "FASTA header or comment and is never inferred as a symbol"
                 )
-    return Alphabet(tuple(sorted(seen)))
+    return Alphabet(seen)
 
 
 def parse_fasta(text: str, alphabet: Alphabet | None = None) -> list[SymbolicSequence]:

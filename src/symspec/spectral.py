@@ -33,6 +33,9 @@ codes)``. It packs whole tables, in order, while their rows fit one batch
 of rows of ``table[:, codes]``, and takes a table with more rows alone, a
 batch at a time; each batch is one real-input FFT, and each row's power
 goes into its table's running sum, so no dense T x m array is ever held.
+The FFT's output is squared in place and a bin's power formed in its real
+slot; a row alone in its batch is added straight into its table's sum, so
+the power step allocates no array of its own.
 It hands over each pack as one array, one row per table, so
 ``check_record`` checks all the tables of a small record together. Real
 rows give P(k) = P(m - k) exactly, so a report stores bins k = 0 .. m//2
@@ -209,6 +212,16 @@ def _powers(tables, codes: np.ndarray):
     alone, so its power is bit for bit that of one rfft over all its dense
     rows summed with ``sum(axis=0)``, whatever the batch size and whatever
     the other tables.
+
+    The power step makes no array: the batch's rfft output is squared in
+    place on its float64 view, and each bin's im^2 is added into the re^2
+    slot beside it, which then holds the bin's power. A row alone in its
+    batch (every row from m > 2**19) goes straight into its table's running
+    sum: re^2 + im^2 written there on the table's first batch, p + sum
+    after, the very sums the reduce forms. So no power array (8 B/bin) and
+    no im^2 temporary (8 B/bin) is allocated per batch, the sums are not
+    zero-filled (the first batch writes every row whole), and a lone row
+    is not copied through ``np.add.reduce``.
     """
     m = codes.size
     batch = max(1, _BLOCK_BINS // m)  # rows gathered and transformed at once
@@ -220,23 +233,30 @@ def _powers(tables, codes: np.ndarray):
             j += 1
         # The running sums are allocated before the batch's arrays: after them,
         # they raised the peak RSS of analyze at m = 1e6 by 4 MB. A list, so
-        # that the sums leave the generator with the yield.
-        sums = [np.zeros((j - i, m // 2 + 1))]
+        # that the sums leave the generator with the yield. Every row of them
+        # is written whole by the first batch, so they are not zero-filled.
+        sums = [np.empty((j - i, m // 2 + 1))]
         # A table alone is sliced, never copied, so a T x T identity costs only its batch.
         rows = tables[i] if j == i + 1 else np.concatenate(tables[i:j])
         for first in range(0, len(rows), batch):  # one batch, unless the table is alone
-            spectra = np.fft.rfft(rows[first : first + batch].take(codes, axis=1), axis=1)
+            squares = np.fft.rfft(rows[first : first + batch].take(codes, axis=1), axis=1).view(np.float64)
             with np.errstate(over="ignore"):  # judged by the total check; never across a yield, which would leak it
-                power = spectra.real**2
-                power += spectra.imag**2
-                del spectra
-                if first:
-                    power[0] += sums[0][0]  # so the sum below continues the table's running sum
-                lo = 0
-                for r, size in enumerate(sizes[i:j]):  # the batch's rows of each table
-                    np.add.reduce(power[lo : lo + size], axis=0, out=sums[0][r])
-                    lo += size
-            del power  # before the pack is handed over
+                np.multiply(squares, squares, out=squares)  # re^2 and im^2, in place
+                power, im = squares[:, 0::2], squares[:, 1::2]
+                if len(power) > 1:
+                    power += im  # each bin's power, in its real slot
+                    if first:
+                        power[0] += sums[0][0]  # so the sum below continues the table's running sum
+                    lo = 0
+                    for r, size in enumerate(sizes[i:j]):  # the batch's rows of each table
+                        np.add.reduce(power[lo : lo + size], axis=0, out=sums[0][r])
+                        lo += size
+                elif first:  # a lone row after its table's first: p + sum, as the reduce above forms it
+                    power += im
+                    np.add(power, sums[0], out=sums[0])
+                else:  # a table's first lone row: its power starts the running sum
+                    np.add(power, im, out=sums[0])
+            del squares, power, im  # before the next batch, and before the pack is handed over
         yield sums.pop()
         i = j
 

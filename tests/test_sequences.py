@@ -1,3 +1,6 @@
+import operator
+from string import ascii_letters, digits
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +286,41 @@ def test_fasta_round_trip(bodies):
 def test_headerless_round_trip(body):
     (seq,) = parse_fasta(body, DNA)
     assert parse_fasta(to_fasta(seq), DNA) == [seq]
+
+
+# Characters whose upper case is one character, from every UTF-32 width the
+# encoder reads: ASCII, Greek, an emoji, the last code point and a lone
+# surrogate; then the two markers, and a space that cleaning drops.
+_inferable = (ascii_letters + digits + "αβγδεζηθικλμνξοπρσςτυφχψωΑΒΓΔΕΖΗΘΙΚΛΜΝΞΟΠΡΣΤΥΦΧΨΩ"
+              + "\U0001F600\U0010FFFF\ud800")
+_inferable_bodies = st.builds(operator.add, st.sampled_from(_inferable),  # never a header or comment line
+                              st.text(st.sampled_from(_inferable + ">; "), max_size=40))
+
+
+def _set_rule(cleaned):
+    """The inference rule stated plainly: the sorted set of characters in
+    the cleaned bodies, or the error that names the first marker."""
+    for rid, body in cleaned:
+        hits = [pos for pos in map(body.find, ">;") if pos >= 0]
+        if hits:
+            pos = min(hits)
+            raise SequenceError(f"character {body[pos]!r} at position {pos + 1} of record {rid!r} marks a "
+                                "FASTA header or comment and is never inferred as a symbol")
+    return Alphabet(tuple(sorted(set("".join(body for _, body in cleaned)))))
+
+
+@given(bodies=st.lists(_inferable_bodies, min_size=1, max_size=4))
+def test_inferred_alphabet_is_the_sorted_set_of_characters(bodies):
+    text = "".join(f">r{i}\n{body}\n" for i, body in enumerate(bodies))
+    cleaned = [(f"r{i}", "".join(body.split()).upper()) for i, body in enumerate(bodies)]
+    try:
+        expected = _set_rule(cleaned)
+    except SequenceError as error:
+        with pytest.raises(SequenceError) as raised:
+            parse_fasta(text)
+        assert str(raised.value) == str(error)
+    else:
+        assert parse_fasta(text)[0].alphabet == expected
 
 
 # Characters a FASTA round trip keeps: not whitespace, not a marker, and

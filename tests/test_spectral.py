@@ -614,11 +614,28 @@ class TestTotalSpectrum:
 
     # At 1e153 and m = 15 the total overflows; at 6.5e153 and m = 29 so does
     # the power at nonzero bins, and their ratios are inf / inf.
-    @pytest.mark.parametrize("scale, text", [(1e153, "ACGTTGCAACGGTAC"), (6.5e153, "ACGTTGCAACGGTAC" + "A" * 14)],
-                             ids=["total", "bins"])
+    OVERFLOWS = pytest.mark.parametrize("scale, text", [(1e153, "ACGTTGCAACGGTAC"),
+                                                         (6.5e153, "ACGTTGCAACGGTAC" + "A" * 14)],
+                                        ids=["total", "bins"])
+
+    @OVERFLOWS
     def test_overflow_fails_the_total_without_a_warning(self, scale, text):
         """Every entry point judges overflow alike: no numpy warning (tier-1
         makes one an error), only a total check and a ratio check that fail."""
+        self._assert_overflow_fails(scale, text)
+
+    @OVERFLOWS
+    @pytest.mark.parametrize("rows_per_batch", [1, 2])
+    def test_overflow_fails_the_total_in_small_batches(self, monkeypatch, scale, text, rows_per_batch):
+        """The same through the kernel's other power paths. At one row per
+        batch every row is alone: a table's first, then the rows after it.
+        At two, the identity's rows take two batches of two and the
+        transform's third row is alone."""
+        monkeypatch.setattr(spectral, "_BLOCK_BINS", rows_per_batch * len(text))
+        self._assert_overflow_fails(scale, text)
+
+    @staticmethod
+    def _assert_overflow_fails(scale, text):
         ind = build_indicators(dna(text))
         rep = validate_row_orthogonal(build_zcurve().rows * scale, build_zcurve().alphabet_order, name="huge")
         with warnings.catch_warnings():

@@ -8,12 +8,15 @@ from the repository root:
     python tools/loc.py            # src/ and tests/
     python tools/loc.py src        # any directories or files
 
-It prints the count of each file, then each directory's total.
+It prints the count of each file, then each directory's total. When the
+reader of the output goes away (``python tools/loc.py | head -1``), it
+ends quietly with status 1, as ``symspec.cli.entry`` does.
 """
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -49,4 +52,10 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
