@@ -23,10 +23,13 @@ both of its checks pass, in every command.
 Each command renders its report as text pieces, lines of a text report or
 pieces of a JSON or CSV one, and hands them to ``_write``, the one writer,
 which writes each piece as it comes. Per-bin profiles (``analyze --format
-csv``, ``spectrum``) are rendered by column, just before they are written,
-in blocks of rows or items, never as one string; their bytes are those of
-``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``. Bins
-k = 1 .. m//2 of each column are formatted and the strings mirrored.
+csv``, ``spectrum``) are rendered just before they are written, in blocks
+of ``_BLOCK_ITEMS`` rows or items, never as one string; their bytes are
+those of ``csv.writer`` and ``json.dumps(indent=2, sort_keys=True)``.
+``_floatfmt`` spells each column of k, frequency, power and SNR values as
+a matrix of byte rows, with no str per value; bins k = 1 .. m//2 of power
+and SNR are spelt once and their rows mirrored. A block is one byte matrix,
+its fields at fixed offsets (``_text``), decoded once into its piece.
 ``verify`` holds one record at a time: each is rendered, to its text line
 or its JSON item (from a fixed layout, ``_verify_items``), as soon as its
 checks finish, and only those strings are kept until they are written,
@@ -43,7 +46,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -193,19 +196,7 @@ def _lines(lines):
     return (line + "\n" for line in lines)
 
 
-def _blocks(items):
-    """Consecutive lists of up to _BLOCK_ITEMS items."""
-    items = iter(items)
-    while block := list(islice(items, _BLOCK_ITEMS)):
-        yield block
-
-
 _JSON_ITEM_SEP = ",\n    "  # between the items of an array at depth 1 of json.dumps(indent=2)
-
-
-def _joined(items):
-    """JSON array items, as text indented for depth 2, joined in blocks."""
-    return map(_JSON_ITEM_SEP.join, _blocks(items))
 
 
 def _json(fields: dict):
@@ -454,18 +445,19 @@ def _json_float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _float_strings(values: np.ndarray, for_json: bool = False) -> list[str]:
-    """``repr`` of each value, as csv.writer and json.dumps write finite
-    floats; a JSON column holding a non-finite value goes through _json_float."""
-    fmt = _json_float if for_json and not np.isfinite(values).all() else float.__repr__
-    return list(map(fmt, values.tolist()))
+def _text(columns) -> str:
+    """One piece of text from byte columns: its row i is row i of each
+    column in turn, a column being a matrix or bytes that every row holds,
+    without the ``_floatfmt.PAD`` bytes that pad the matrices' rows."""
+    from ._floatfmt import PAD
 
-
-def _profile_strings(half: np.ndarray, m: int, for_json: bool = False) -> list[str]:
-    """A profile column, k = 1 .. m-1, from its bins 0 .. m//2: bins 1 .. m//2
-    are formatted and the strings mirrored, as ``SpectrumReport.power`` is."""
-    head = _float_strings(half[1:], for_json)
-    return head + head[: (m - 1) // 2][::-1]
+    columns = [np.frombuffer(column, dtype=np.uint8) if isinstance(column, bytes) else column for column in columns]
+    block = np.empty((max(len(c) for c in columns if c.ndim == 2), sum(c.shape[-1] for c in columns)), dtype=np.uint8)
+    at = 0
+    for column in columns:
+        block[:, at : at + column.shape[-1]] = column
+        at += column.shape[-1]
+    return block.tobytes().translate(None, bytes([PAD])).decode("utf-8")
 
 
 def _csv_cell(text: str) -> str:
@@ -475,34 +467,58 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _mirror(m: int) -> np.ndarray:
+    """For each bin k = 1 .. m-1, the row of bin min(k, m - k) among the
+    rows of bins 1 .. m//2, as ``SpectrumReport.power`` mirrors its half."""
+    k = np.arange(1, m)
+    return np.minimum(k, m - k) - 1
+
+
 def _profile_csv(named_reports, with_rep_column: bool):
     """One CSV row per bin k = 1 .. m-1 of each report, in blocks of rows;
-    the reports share m, so k and frequency are formatted once."""
+    the reports share m, so k and frequency are formatted once, and bins
+    1 .. m//2 of each power and SNR column, their rows mirrored."""
+    from ._floatfmt import ints, reprs
+
     m = named_reports[0][1].m
-    k_freq = list(map(",".join, zip(map(str, range(1, m)), _float_strings(np.arange(1, m) / m))))
+    k, mirror = np.arange(1, m), _mirror(m)
+    k_digits, frequency = ints(k), reprs(k / m)
     header = "k,frequency,power,snr\n"
     yield "representation," + header if with_rep_column else header
     for name, report in named_reports:
-        half_snr = report.half_power / report.mean_noise
-        columns = [k_freq, _profile_strings(report.half_power, m), _profile_strings(half_snr, m)]
-        if with_rep_column:
-            columns.insert(0, [_csv_cell(name)] * (m - 1))
-        for block in _blocks(map(",".join, zip(*columns))):
-            yield "\n".join(block) + "\n"
-        del columns  # before the next report's columns are formatted
+        cell = (_csv_cell(name) + ",").encode() if with_rep_column else b""
+        half = report.half_power[1:]
+        power, snr = reprs(half), reprs(half / report.mean_noise)
+        for a in range(0, m - 1, _BLOCK_ITEMS):
+            rows, bins = slice(a, a + _BLOCK_ITEMS), mirror[a : a + _BLOCK_ITEMS]
+            yield _text([cell, k_digits[rows], b",", frequency[rows], b",", np.take(power, bins, axis=0), b",",
+                         np.take(snr, bins, axis=0), b"\n"])
+        del power, snr  # before the next report's columns are formatted
 
 
 def _profile_json(fields: dict, report):
     """*fields* plus the report's k, frequency, power and snr arrays, as
     ``json.dumps(indent=2, sort_keys=True)`` writes them. Each array is
-    formatted just before it is written."""
-    m = report.m
+    formatted just before it is written, power and snr at bins 1 .. m//2,
+    their rows mirrored."""
+    from ._floatfmt import ints, reprs
+
+    m, half = report.m, report.half_power[1:]
+    sep = _JSON_ITEM_SEP.encode()
+
+    def items(formatted, mirrored=False):
+        def pieces():
+            column, rows = formatted(), _mirror(m) if mirrored else np.arange(m - 1)
+            for a in range(0, m - 1, _BLOCK_ITEMS):
+                yield _text([np.take(column, rows[a : a + _BLOCK_ITEMS], axis=0), sep])[: -len(sep)]
+        return pieces
+
     return _json({
         **fields,
-        "k": lambda: _joined(map(str, range(1, m))),
-        "frequency": lambda: _joined(_float_strings(np.arange(1, m) / m)),
-        "power": lambda: _joined(_profile_strings(report.half_power, m, for_json=True)),
-        "snr": lambda: _joined(_profile_strings(report.half_power / report.mean_noise, m, for_json=True)),
+        "k": items(lambda: ints(np.arange(1, m))),
+        "frequency": items(lambda: reprs(np.arange(1, m) / m)),
+        "power": items(lambda: reprs(half, for_json=True), mirrored=True),
+        "snr": items(lambda: reprs(half / report.mean_noise, for_json=True), mirrored=True),
     })
 
 
@@ -827,6 +843,9 @@ def main(argv=None) -> int:
         raise  # the reader went away: not an error of the command
     except (ValueError, OSError) as exc:
         print(f"symspec: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large for this machine is refused, not a failed identity (1)
+        print("symspec: error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

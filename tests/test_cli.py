@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symspec import build_helmert, build_zcurve, cli, matrix_to_dict, save_matrix, spectral, validate_row_orthogonal
+from symspec import (
+    _floatfmt, build_helmert, build_zcurve, cli, matrix_to_dict, save_matrix, spectral, validate_row_orthogonal
+)
 from symspec.cli import _profile_csv, _profile_json, main
 from conftest import child_env, child_usage, run_child, run_main, traced
 
@@ -697,6 +699,21 @@ class TestTotalSpectrumOverflow:
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--random", "2"], ["analyze", "--format", "json"], ["spectrum"]])
+@pytest.mark.parametrize("reason", ["", "Unable to allocate 8.00 GiB for an array"])
+def test_out_of_memory_prints_one_line(monkeypatch, argv, reason):
+    """Regression: a MemoryError ended in a traceback and exit 1, the status
+    of a failed identity (``verify`` on one record over 16 000 inferred
+    symbols, under an address-space limit)."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(spectral, "_powers", no_memory)
+    code, out, err = run_main(argv, DNA_TEXT)
+    assert (code, out) == (2, "")
+    assert err == "symspec: error: out of memory" + (f": {reason}" if reason else "") + "\n"
+
+
 def test_entry_ends_quietly_when_the_reader_goes_away(tmp_path):
     """Regression: ``spectrum | head -1`` printed "symspec: error: [Errno 32]
     Broken pipe" after the first line and exited 2."""
@@ -853,12 +870,22 @@ class TestProfileRenderer:
         "even": ([1.0, 0.1, 1 / 3, 2.5e20], 6, 1e-5),
         "one-bin": ([1.0, 2.0], 2, 3.0),
         "no-bins": ([1.0], 1, 1.0),
+        # Mirrored rows across the edges of blocks of two and of three rows (BLOCKS).
+        "odd-blocks": ([4.0, 0.5, 1e22, 3e-7, 12.25, 0.1, 7.0], 13, 0.3),
+        "even-blocks": ([4.0, 0.5, 1e22, 3e-7, 12.25, 0.1, 7.0], 12, 0.3),
     }
+    BLOCKS = {"odd-blocks": 2, "even-blocks": 3}  # rows or items per piece for these keys
+
+    @pytest.fixture(autouse=True)
+    def block_items(self, request, monkeypatch):
+        key = request.node.callspec.params["key"]
+        monkeypatch.setattr(cli, "_BLOCK_ITEMS", self.BLOCKS.get(key, cli._BLOCK_ITEMS))
 
     @pytest.mark.parametrize("key", list(REPORTS))
     def test_csv_matches_csv_writer(self, key):
-        # Names that csv.writer quotes, or leaves empty, inside a row.
-        reports = [("a,\"b", _report(*self.REPORTS[key])), ("", _report(*self.REPORTS[key]))]
+        # Names that csv.writer quotes, or leaves empty, inside a row; one not ASCII.
+        reports = [("a,\"b", _report(*self.REPORTS[key])), ("", _report(*self.REPORTS[key])),
+                   ("\u00e9,x", _report(*self.REPORTS[key]))]
         text = "".join(_profile_csv(reports, True))
         # The renderer reads the half spectrum only: no full-length copy is cached.
         assert all(not {"power", "snr"} & vars(r).keys() for _, r in reports)
@@ -927,6 +954,9 @@ COMMAND_ARGV = {
 }
 
 
+PROFILE_KEYS = {"analyze-csv", "spectrum-csv", "spectrum-json"}  # the keys of COMMAND_ARGV that format floats
+
+
 class TestMallocTuning:
     """``entry()`` tunes glibc's malloc before main() and trims the heap
     once, in _write(); library use and an in-process main() touch neither."""
@@ -941,16 +971,17 @@ class TestMallocTuning:
     def test_one_trim_after_the_spectra_before_any_formatting(self, libc, kernel, monkeypatch, key):
         def formatting(*args, **kwargs):
             libc.calls.append("format")
-            return float_strings(*args, **kwargs)
+            return reprs(*args, **kwargs)
 
-        float_strings, trim, halves_at_trim = cli._float_strings, libc.malloc_trim, []
-        monkeypatch.setattr(cli, "_float_strings", formatting)
+        reprs, trim, halves_at_trim = _floatfmt.reprs, libc.malloc_trim, []
+        monkeypatch.setattr(_floatfmt, "reprs", formatting)
         libc.malloc_trim = lambda pad: halves_at_trim.append(len(kernel.halves)) or trim(pad)
         code, _, err = run_main(COMMAND_ARGV[key], DNA_TEXT, entry=True)
         assert code == 0, err
         assert [call[0] for call in libc.calls[:2]] == ["mallopt", "mallopt"]
         assert kernel.halves and halves_at_trim == [len(kernel.halves)]  # one trim, after every spectrum
         assert "format" not in libc.calls[: libc.calls.index(("malloc_trim", 0))]
+        assert ("format" in libc.calls) == (key in PROFILE_KEYS)  # the probe sees every profile's formatting
 
     @pytest.mark.parametrize("fault", ["no mallopt", "no libc", "mallopt refuses"])
     @pytest.mark.parametrize("argv", [COMMAND_ARGV["analyze-csv"], ["compare", "--rep", "base"]])
@@ -1122,6 +1153,24 @@ class TestAnalyzeBytesPerSymbol:
         assert len(held) == len(reps)
         assert max(held) <= 5 * m + 128 * 1024, [h / m for h in held]
         assert peak <= 28 * m, peak / m
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["spectrum", "--format", "json"],
+                                  ["analyze", "--rep", "base", "--rep", "helmert", "--format", "csv"]],
+                         ids=["spectrum-csv", "spectrum-json", "analyze-csv"])
+def test_profile_render_peaks_below_100_bytes_per_symbol(tmp_path, monkeypatch, argv):
+    """At m = 2e5 a per-bin profile, from _write's start to its last piece,
+    peaks at 53-76 B/symbol of tracemalloc: each column is spelt a chunk at
+    a time into byte rows of at most 24 B, and the text built a block at a
+    time. One str per value took 110-185 B/symbol."""
+    m = 200_000
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda args, pieces: (tracemalloc.reset_peak(), write(args, pieces))[1])
+    out = ["--output", str(tmp_path / "out")]
+    assert main(argv + out + ["--input", str(_fasta_file(tmp_path / "small.fa", b"ACGT", 100))]) == 0  # imports
+    code, _, peak = traced(main, argv + out + ["--input", str(_fasta_file(tmp_path / "dna.fa", b"ACGT", m))])
+    assert code == 0
+    assert peak <= 100 * m, peak / m
 
 
 def test_base_spectrum_of_a_large_alphabet_holds_no_dense_identity(tmp_path):

@@ -36,6 +36,24 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_commands_without_a_profile_leave_the_float_kernel_unloaded(tmp_path):
+    """Only the per-bin profiles format floats through ``symspec._floatfmt``,
+    whose tables cost a fresh process some milliseconds to build: importing
+    the command line, ``analyze --format json`` and ``verify --random`` never
+    import it."""
+    probe = ("import sys; import symspec.cli as cli; seen = ['symspec._floatfmt' in sys.modules]\n"
+             "for argv in (['analyze', '--format', 'json', '--input', sys.argv[1]], ['verify', '--random', '3']):\n"
+             "    assert cli.main(argv + ['--output', sys.argv[2]]) == 0\n"
+             "    seen.append('symspec._floatfmt' in sys.modules)\n"
+             "print(*seen)")
+    fasta = tmp_path / "x.fa"
+    fasta.write_text(">x\nACGTTGCAACGGTTA\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(fasta), str(tmp_path / "out")], env=child_env(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
 def test_cli_uses_no_private_spectral_name():
     """The command line reaches ``spectral`` only through its public names,
     so the identities and their pass rules are stated there alone."""
